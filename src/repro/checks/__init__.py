@@ -11,9 +11,10 @@ Three layers share one diagnostic vocabulary (:mod:`repro.checks.diagnostics`):
 * **Layer 2 — codebase lint**: an AST pass enforcing the simulator's
   modelling contract on ``src/repro`` itself (:mod:`~repro.checks.lint`).
 * **Layer 3 — cache soundness**: a whole-program call-graph analyzer
-  (:mod:`~repro.checks.callgraph`) feeding per-scenario dependency
-  fingerprints and the CKEY rule family (:mod:`~repro.checks.depfp`),
-  which key the sweep and rig caches.
+  (:mod:`~repro.checks.callgraph`) computing per-scenario dependency
+  closures, scanned by the CKEY rule family (:mod:`~repro.checks.depfp`)
+  for reads the cache key does not cover.  Imported on demand by the
+  check CLI only; the sweep never runs it.
 
 Run all three from the command line with ``python -m repro.checks`` or
 ``python -m repro check``; every rule is documented in ``docs/CHECKS.md``.
@@ -35,19 +36,9 @@ from .drc_dma import (
     program_from_descriptors,
 )
 from .drc_system import check_system
-from .depfp import (
-    DependencyFingerprint,
-    check_dependencies,
-    rig_fingerprint,
-    scenario_fingerprint,
-)
 from .lint import lint_package, lint_paths, lint_source
 
 __all__ = [
-    "DependencyFingerprint",
-    "check_dependencies",
-    "rig_fingerprint",
-    "scenario_fingerprint",
     "ChainDescriptor",
     "CheckReport",
     "Diagnostic",

@@ -1,16 +1,17 @@
 """Whole-program, AST-level call-graph analysis over the ``repro`` package.
 
-Foundation of the dependency-precise cache keys (:mod:`repro.checks.depfp`):
-the graph answers *"which modules can influence the result of running this
+Foundation of the cache-soundness scan (:mod:`repro.checks.depfp`): the
+graph answers *"which code can influence the result of running this
 function?"* without importing or executing anything.  Per module it records
 imports (with relative-import and ``as``-alias resolution), top-level
 functions, classes with their methods and static bases, and module-level
 constants; per function it records every call site.  :meth:`CallGraph.closure`
-then walks call edges transitively from a root function.
+then walks call edges transitively from a root function, and the CKEY
+rules scan every function the closure reaches.
 
 Resolution is deliberately **conservative** — over-approximating the closure
-only widens cache invalidation, while missing an edge would let a stale cache
-entry survive a behaviour change:
+only scans more code, while missing an edge would hide a construct that
+defeats the cache key:
 
 * plain-name calls resolve through local defs, import aliases (following
   re-export chains through ``__init__`` modules) and ``*``-imports;
@@ -24,9 +25,7 @@ entry survive a behaviour change:
   base chain of the enclosing class;
 * when any function of a module is reached, the module's top-level code
   (imports, constant computation, registration side effects) is traversed
-  too, and the module's **entire source** joins the fingerprint material —
-  so edits to module constants invalidate dependants even though constants
-  have no call edges.
+  too.
 
 Call sites that defeat static resolution (calling a local variable, a
 subscript, or the result of another call) are recorded as *unresolved* and
@@ -34,16 +33,16 @@ counted against a budget by the CKEY rules rather than silently dropped.
 
 Host-side orchestration layers (``repro.sweep``, ``repro.checks``,
 ``repro.cli``) are excluded from the default graph: they never influence a
-*simulated* result (``docs/MODELING.md`` §9) and are fenced by the cache
-schema number instead — including them would drag their file I/O into every
-closure through the conservative attribute resolution.
+*simulated* result (``docs/MODELING.md`` §9), and including them would
+drag their file I/O into every closure through the conservative attribute
+resolution.  The sweep never builds this graph; its cache keys hash the
+whole package's sources instead (:func:`repro.sweep.cache.sources_hash`).
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -57,8 +56,8 @@ MODULE_BODY = "<module>"
 FuncKey = Tuple[str, str]
 
 #: Subpackages excluded from the default ``repro`` graph: host-side
-#: orchestration that cannot influence simulated results and is fenced by
-#: the cache schema number (see module docstring).
+#: orchestration that cannot influence simulated results (see module
+#: docstring).
 DEFAULT_EXCLUDE: Tuple[str, ...] = (
     "repro.checks",
     "repro.sweep",
@@ -127,8 +126,6 @@ class ModuleInfo:
     name: str
     path: Path
     display: str  # repo-style path used in diagnostics ("repro/engine/...")
-    source: str
-    source_hash: str
     functions: Dict[str, FunctionNode]
     classes: Dict[str, ClassNode]
     imports: Dict[str, str]  # local binding -> dotted target
@@ -281,7 +278,7 @@ class CallGraph:
                 if fn.owner is not None:
                     index.setdefault(fn.name, []).append((info.name, qualname))
         self._method_index = {name: tuple(keys) for name, keys in index.items()}
-        #: Per-graph memo used by depfp (fingerprints, CKEY findings).
+        #: Per-graph memo used by depfp (closures, CKEY findings).
         self.memo: Dict[object, object] = {}
 
     # -- construction ------------------------------------------------------
@@ -308,13 +305,10 @@ class CallGraph:
     def _parse_module(root: Path, path: Path, name: str, package: str) -> ModuleInfo:
         source = path.read_text(encoding="utf-8")
         display = "/".join([package, *path.relative_to(root).parts])
-        source_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
         info = ModuleInfo(
             name=name,
             path=path,
             display=display,
-            source=source,
-            source_hash=source_hash,
             functions={},
             classes={},
             imports={},
@@ -504,7 +498,7 @@ class CallGraph:
         prefix, attr = self._split_dotted(dotted)
         if prefix is None:
             # Inside the package namespace but not in the graph: an excluded
-            # orchestration layer (fenced by the cache schema instead).
+            # orchestration layer.
             return Resolution(external=dotted)
         if attr is None:
             return Resolution(modules=[prefix])
@@ -521,7 +515,7 @@ class CallGraph:
         if name in module.imports:
             return self.resolve_dotted(module.imports[name], hops + 1)
         if name in module.toplevel_names:
-            # A module constant: covered by the module's source hash.
+            # A module constant: reaching it reaches its module.
             return Resolution(modules=[module.name])
         for star in module.star_imports:
             resolution = self.resolve_dotted(f"{star}.{name}", hops + 1)
@@ -669,13 +663,3 @@ class CallGraph:
             unresolved=unresolved,
             externals=externals,
         )
-
-    def fingerprint_material(self, closure: Closure) -> str:
-        """Stable text the dependency fingerprint hashes: every reached
-        module's name paired with the SHA-256 of its full source."""
-        lines = [
-            f"{name}:{self.modules[name].source_hash}"
-            for name in sorted(closure.modules)
-            if name in self.modules
-        ]
-        return "\n".join(lines)

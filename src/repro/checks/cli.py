@@ -7,14 +7,14 @@ Reached two ways with identical flags::
 
 Default behaviour runs **all three layers**: the simulator-discipline
 self-lint over the installed ``repro`` package, the system/bitstream DRC
-over the example systems (32, 64, dual), and the cache-soundness
-dependency pass (CKEY rules over every registered scenario's call-graph
-closure plus the rig builder).  Exit status is non-zero iff any
+over the example systems (32, 64, dual), and the cache-soundness scan
+(CKEY rules over every registered scenario's call-graph closure plus the
+rig builder).  Exit status is non-zero iff any
 error-severity diagnostic was produced, so CI can gate on it directly.
 
-``--deps NAME`` prints one scenario's dependency closure and cache
-fingerprint (repeatable; ``all`` = every scenario, ``rig`` = the static
-rig builder) and runs only the dependency pass.
+``--deps NAME`` prints one scenario's dependency closure (repeatable;
+``all`` = every scenario, ``rig`` = the static rig builder) and runs only
+the cache-soundness scan.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         metavar="SCENARIO",
-        help="print the dependency closure + cache fingerprint for SCENARIO "
-        "and run only the dependency pass ('all' = every registered "
+        help="print the dependency closure for SCENARIO and run only the "
+        "cache-soundness scan ('all' = every registered "
         "scenario, 'rig' = the static rig builder; repeatable)",
     )
     parser.add_argument(
@@ -84,18 +84,18 @@ def _build_example(which: str):
 
 
 def _run_deps(args: argparse.Namespace) -> int:
-    """The ``--deps`` mode: dependency pass only, with closure output."""
+    """The ``--deps`` mode: cache-soundness scan only, with closure output."""
     from . import depfp
 
     report = CheckReport()
     names = None if "all" in args.deps else list(args.deps)
-    fingerprints = depfp.check_dependencies(report=report, names=names)
+    closures = depfp.check_dependencies(report=report, names=names)
     if args.json:
         payload = json.loads(report.to_json())
-        payload["closures"] = [fp.as_dict() for fp in fingerprints]
+        payload["closures"] = [fp.as_dict() for fp in closures]
         print(json.dumps(payload, indent=2))
     else:
-        print(depfp.closure_table(fingerprints))
+        print(depfp.closure_table(closures))
         print(report.format_text())
     return 1 if report.has_errors else 0
 
@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.checks",
         description="Static analysis for the repro library: system/bitstream "
-        "DRC + simulator-discipline lint + cache-soundness dependency "
-        "fingerprints.",
+        "DRC + simulator-discipline lint + cache-soundness scan.",
     )
     add_arguments(parser)
     return parser

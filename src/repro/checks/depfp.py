@@ -1,29 +1,22 @@
-"""Dependency fingerprints: call-graph-derived cache-key components.
+"""Cache-soundness scan: dependency closures and the CKEY rule family.
 
 Built on :mod:`repro.checks.callgraph`.  For a root function — a registered
 sweep scenario, or the rig builder ``initialize_static_configuration`` —
 this module computes the transitive closure of package functions/modules the
-root can reach and hashes the reached modules' source texts into one SHA-256
-**dependency fingerprint**.  ``repro.sweep.cache`` and the rig cache key on
-that fingerprint instead of the blanket ``repro.__version__`` fence, so:
-
-* a release that does not touch a scenario's closure keeps the warm cache;
-* editing any helper module invalidates exactly the scenarios whose closure
-  contains it — no manual version bumps required for soundness.
-
-The fingerprint is only sound when static resolution actually saw every
-dependency.  The **CKEY rule family** reports constructs that defeat it;
-any *error*-severity CKEY finding inside a closure makes that one root fall
-back to the version fence (``fallback=True``) rather than claim unsound
-precision:
+root can reach and scans every reached function for constructs that let
+something *outside the cache key* change a cached result.  The sweep keys
+its result and rig caches on the scenario's own source, its parameters and
+one hash of the package sources (:mod:`repro.sweep.cache`); it never runs
+this analysis.  The scan runs behind ``repro check`` (``--deps`` prints the
+closures) and in CI, and any error-severity CKEY finding fails the check:
 
 * **CKEY001** — dynamic dispatch (``importlib``/``__import__``/``eval``/
   ``exec``, or calling a ``getattr(...)`` result directly): the callee is
-  invisible to the graph.
+  invisible to the graph, so the scan cannot see into it.
 * **CKEY002** — environment reads (``os.environ``/``os.getenv``): the value
   influences the result but is not part of the cache key.
 * **CKEY003** — data-file reads (``open``, ``Path.read_*``, ``np.load`` &
-  friends): file contents influence the result but are not fingerprinted.
+  friends): file contents influence the result but are not hashed.
 * **CKEY004** — too many unresolvable call edges (computed callees,
   ``f()()``, subscripted handlers) in one closure: the over-approximation
   has lost its meaning.
@@ -33,13 +26,17 @@ precision:
 
 Findings honour the lint suppression syntax (``# repro: noqa CKEY001``)
 so individually audited sites — e.g. a bounded ``getattr`` dispatch over
-methods of an already-fingerprinted class — can vouch for themselves.
+methods of an already-reached class — can vouch for themselves.
+
+:func:`package_graph`, :func:`fingerprint_function` and the other
+``*_fingerprint`` entry points keep their names, which ``perfbench``'s
+tracer wraps; they return closures, not hashes.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -52,8 +49,8 @@ register_rule(
     "CKEY001",
     "dynamic-dispatch-in-closure",
     "importlib/__import__/eval/exec or an immediately-called getattr() hide "
-    "the real callee from the call graph, so the dependency fingerprint "
-    "cannot cover it.",
+    "the real callee from the call graph, so the cache-soundness scan "
+    "cannot see into it.",
 )
 register_rule(
     "CKEY002",
@@ -78,15 +75,15 @@ register_rule(
     "CKEY005",
     "closure-escapes-package",
     "The closure imports a third-party package whose version is not part "
-    "of the cache key; pin it in the trusted set or fence by version.",
+    "of the cache key; pin it in the trusted set.",
 )
 
 #: Maximum unresolvable call edges tolerated per closure (CKEY004).
 UNRESOLVED_BUDGET = 25
 
-#: Third-party roots whose behaviour the cache schema vouches for (their
-#: version is pinned by the environment, and the simulation treats them as
-#: part of the language substrate, like the stdlib).
+#: Third-party roots trusted like the stdlib: their version is pinned by
+#: the environment, and the simulation treats them as part of the language
+#: substrate.
 TRUSTED_PACKAGES = frozenset({"numpy"})
 
 _STDLIB = frozenset(sys.stdlib_module_names)
@@ -107,27 +104,21 @@ class _Finding:
 
 
 @dataclass
-class DependencyFingerprint:
-    """One root's dependency closure, fingerprint and soundness verdict."""
+class DependencyClosure:
+    """One root's dependency closure and its CKEY findings."""
 
     label: str  # scenario name, or "rig"
     root: str  # "module:qualname"
-    fingerprint: str
     modules: Tuple[str, ...]
     function_count: int
     unresolved: Tuple[Tuple[str, int, str], ...]
     externals: Tuple[str, ...]
     findings: Tuple[Diagnostic, ...]
-    #: True when an error-severity CKEY finding voids the fingerprint and
-    #: the cache must fall back to the blanket version fence.
-    fallback: bool
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "label": self.label,
             "root": self.root,
-            "fingerprint": self.fingerprint,
-            "fallback": self.fallback,
             "modules": list(self.modules),
             "function_count": self.function_count,
             "unresolved_count": len(self.unresolved),
@@ -140,21 +131,11 @@ class DependencyFingerprint:
 # Graph lifecycle
 # --------------------------------------------------------------------------
 
-_GRAPH: Optional[CallGraph] = None
-
-
-def package_graph(refresh: bool = False) -> CallGraph:
-    """The memoized call graph of the installed ``repro`` package."""
-    global _GRAPH
-    if _GRAPH is None or refresh:
-        _GRAPH = CallGraph.build(package_root(), package="repro")
-    return _GRAPH
-
-
-def reset_graph() -> None:
-    """Drop the memoized graph (tests that rewrite sources call this)."""
-    global _GRAPH
-    _GRAPH = None
+@functools.lru_cache(maxsize=None)
+def package_graph() -> CallGraph:
+    """The call graph of the installed ``repro`` package, built once per
+    process."""
+    return CallGraph.build(package_root(), package="repro")
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +171,7 @@ def _scan_function(module: ModuleInfo, fn: FunctionNode) -> List[_Finding]:
             "CKEY005",
             node,
             f"import of untrusted package {head!r} inside a cached closure",
-            "add it to depfp.TRUSTED_PACKAGES after pinning, or fence by version",
+            "add it to depfp.TRUSTED_PACKAGES after pinning",
         )
 
     for root_node in fn.scan_nodes:
@@ -214,7 +195,7 @@ def _scan_function(module: ModuleInfo, fn: FunctionNode) -> List[_Finding]:
                         "CKEY003",
                         node,
                         f".{func.attr}() reads file contents the cache key does not cover",
-                        "hash the file into a parameter, or fence by version",
+                        "hash the file into a parameter",
                     )
                     continue
                 chain = _chain_of(func)
@@ -226,14 +207,14 @@ def _scan_function(module: ModuleInfo, fn: FunctionNode) -> List[_Finding]:
                         "CKEY001",
                         node,
                         f"{root}() defeats static call resolution",
-                        "import statically so the dependency is fingerprinted",
+                        "import statically so the scan can follow it",
                     )
                 elif root == "importlib":
                     flag(
                         "CKEY001",
                         node,
                         f"importlib call ({'.'.join(chain)}()) defeats static call resolution",
-                        "import statically so the dependency is fingerprinted",
+                        "import statically so the scan can follow it",
                     )
                 elif chain[:2] == ["os", "environ"] or chain == ["os", "getenv"]:
                     flag(
@@ -247,14 +228,14 @@ def _scan_function(module: ModuleInfo, fn: FunctionNode) -> List[_Finding]:
                         "CKEY003",
                         node,
                         "open() reads file contents the cache key does not cover",
-                        "hash the file into a parameter, or fence by version",
+                        "hash the file into a parameter",
                     )
                 elif root in _NUMPY_ALIASES and attr in _NUMPY_FILE_READERS and len(chain) == 2:
                     flag(
                         "CKEY003",
                         node,
                         f"{'.'.join(chain)}() reads file contents the cache key does not cover",
-                        "hash the file into a parameter, or fence by version",
+                        "hash the file into a parameter",
                     )
             elif isinstance(node, ast.Subscript):
                 if _chain_of(node.value)[:2] == ["os", "environ"]:
@@ -296,7 +277,7 @@ def _module_findings(graph: CallGraph, module: ModuleInfo) -> Dict[str, List[_Fi
 
 
 # --------------------------------------------------------------------------
-# Fingerprints
+# Closures
 # --------------------------------------------------------------------------
 
 
@@ -305,10 +286,10 @@ def fingerprint_root(
     qualname: str,
     label: Optional[str] = None,
     graph: Optional[CallGraph] = None,
-) -> Optional[DependencyFingerprint]:
-    """Closure + fingerprint of one in-graph function, or ``None`` when the
-    function is not statically analyzable (defined outside the package, or
-    dynamically)."""
+) -> Optional[DependencyClosure]:
+    """Closure + CKEY findings of one in-graph function, or ``None`` when
+    the function is not statically analyzable (defined outside the package,
+    or dynamically)."""
     graph = graph if graph is not None else package_graph()
     info = graph.modules.get(module)
     if info is None or qualname not in info.functions:
@@ -316,9 +297,9 @@ def fingerprint_root(
     memo_key = ("fp", module, qualname)
     cached = graph.memo.get(memo_key)
     if cached is not None:
-        fp: DependencyFingerprint = cached  # type: ignore[assignment]
+        fp: DependencyClosure = cached  # type: ignore[assignment]
         if label is not None and fp.label != label:
-            fp = DependencyFingerprint(**{**fp.__dict__, "label": label})
+            fp = DependencyClosure(**{**fp.__dict__, "label": label})
         return fp
 
     closure = graph.closure([(module, qualname)])
@@ -364,22 +345,18 @@ def fingerprint_root(
                     f"budget of {UNRESOLVED_BUDGET} (e.g. {examples})"
                 ),
                 file=graph.modules[module].display,
-                hint="make the hot callees statically resolvable, or fence by version",
+                hint="make the hot callees statically resolvable",
             )
         )
 
-    material = graph.fingerprint_material(closure)
-    fingerprint = hashlib.sha256(material.encode("utf-8")).hexdigest()
-    result = DependencyFingerprint(
+    result = DependencyClosure(
         label=label if label is not None else f"{module}:{qualname}",
         root=f"{module}:{qualname}",
-        fingerprint=fingerprint,
         modules=tuple(sorted(closure.modules)),
         function_count=len(closure.functions),
         unresolved=tuple(closure.unresolved),
         externals=tuple(sorted(closure.externals)),
         findings=tuple(diagnostics),
-        fallback=any(d.severity is Severity.ERROR for d in diagnostics),
     )
     graph.memo[memo_key] = result
     return result
@@ -387,8 +364,8 @@ def fingerprint_root(
 
 def fingerprint_function(
     fn, label: Optional[str] = None, graph: Optional[CallGraph] = None
-) -> Optional[DependencyFingerprint]:
-    """Fingerprint a live function object by locating it in the graph."""
+) -> Optional[DependencyClosure]:
+    """Closure of a live function object, located in the graph by name."""
     module = getattr(fn, "__module__", None)
     qualname = getattr(fn, "__qualname__", None)
     if not module or not qualname:
@@ -397,13 +374,13 @@ def fingerprint_function(
 
 
 def scenario_fingerprint(scenario, graph: Optional[CallGraph] = None):
-    """Fingerprint of a registered scenario's body, or ``None`` (fall back
-    to the version fence) when the body is not statically analyzable."""
+    """Closure of a registered scenario's body, or ``None`` when the body
+    is not statically analyzable."""
     return fingerprint_function(scenario.fn, label=scenario.name, graph=graph)
 
 
-def rig_fingerprint(graph: Optional[CallGraph] = None) -> Optional[DependencyFingerprint]:
-    """Fingerprint of the static-rig builder feeding the rig cache."""
+def rig_fingerprint(graph: Optional[CallGraph] = None) -> Optional[DependencyClosure]:
+    """Closure of the static-rig builder feeding the rig cache."""
     from ..bitstream.generator import initialize_static_configuration
 
     return fingerprint_function(initialize_static_configuration, label="rig", graph=graph)
@@ -419,9 +396,9 @@ def check_dependencies(
     graph: Optional[CallGraph] = None,
     names: Optional[Sequence[str]] = None,
     include_rig: bool = True,
-) -> List[DependencyFingerprint]:
-    """Fingerprint registered scenarios (and the rig builder), funnelling
-    deduplicated CKEY findings into ``report``.
+) -> List[DependencyClosure]:
+    """Scan the closures of registered scenarios (and the rig builder),
+    funnelling deduplicated CKEY findings into ``report``.
 
     ``names`` limits the pass to those scenario names (the rig is selected
     with the pseudo-name ``"rig"``).
@@ -443,7 +420,7 @@ def check_dependencies(
         if include_rig:
             roots.append(("rig", None))
 
-    fingerprints: List[DependencyFingerprint] = []
+    closures: List[DependencyClosure] = []
     seen: Set[Tuple[object, ...]] = set()
     for label, scenario in roots:
         if scenario is None:
@@ -454,28 +431,26 @@ def check_dependencies(
             report.add(
                 "CKEY004",
                 f"{label}: body not statically analyzable (defined outside the "
-                "package?); cache falls back to the version fence",
+                "package?); its closure is not scanned",
                 severity=Severity.INFO,
             )
             continue
-        fingerprints.append(fp)
+        closures.append(fp)
         for diag in fp.findings:
             key = (diag.rule, diag.file, diag.line, diag.message)
             if key in seen:
                 continue
             seen.add(key)
             report.diagnostics.append(diag)
-    return fingerprints
+    return closures
 
 
-def closure_table(fingerprints: Iterable[DependencyFingerprint]) -> str:
+def closure_table(closures: Iterable[DependencyClosure]) -> str:
     """Human-readable summary used by ``repro check --deps``."""
     lines: List[str] = []
-    for fp in fingerprints:
-        mode = "version-fence fallback" if fp.fallback else "depfp"
-        lines.append(f"{fp.label}  [{mode}]")
+    for fp in closures:
+        lines.append(fp.label)
         lines.append(f"  root         {fp.root}")
-        lines.append(f"  fingerprint  {fp.fingerprint}")
         lines.append(
             f"  closure      {fp.function_count} functions over "
             f"{len(fp.modules)} modules, {len(fp.unresolved)} unresolved edges"

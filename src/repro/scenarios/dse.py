@@ -10,7 +10,7 @@ search are nearly free.
 
 Importantly this module must stay importable without :mod:`repro.dse`
 or :mod:`repro.sweep`: the scenarios are leaves of the dependency
-fingerprint, the orchestration layers sit above them.
+graph, the orchestration layers sit above them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Purity contract (enforced by LINT006 in :mod:`repro.checks.lint`):
 
 That contract is what makes the content-addressed result cache sound:
 a scenario's output is fully determined by (source fingerprint, params,
-package version), which is exactly the cache key.
+package sources), which is exactly the cache key.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class Scenario:
         """SHA-256 over the scenario function's source text.
 
         The first cache-key component: editing a scenario body invalidates
-        its cached results.  Helpers it calls are covered by the
-        dependency-fingerprint component of the key (see ``docs/SWEEP.md``).
+        its cached results.  Helpers it calls are covered by the package
+        sources component of the key (see ``docs/SWEEP.md``).
 
         When the source is unavailable (dynamically defined scenarios,
         e.g. in tests), the fingerprint falls back to the function's

@@ -289,7 +289,7 @@ def table07_transfers64_pio(length: int) -> ScenarioResult:
     ):
         # Bounded dispatch over TransferBench methods named in the literal
         # tuple above; TransferBench's module is reached through the
-        # constructors, so the fingerprint already covers every candidate.
+        # constructors, so the CKEY scan already covers every candidate.
         t32 = getattr(bench32, method)(length).per_transfer_ns  # repro: noqa CKEY001
         t64 = getattr(bench64, method)(length).per_transfer_ns  # repro: noqa CKEY001
         rows.append([label, t64, t32, t32 / t64])

@@ -2,12 +2,12 @@
 
 Turns the registry of pure scenarios (:mod:`repro.scenarios`) into a
 schedulable job grid: fan-out over a process pool, per-result on-disk
-caching keyed by scenario source + parameters + package version, and one
+caching keyed by scenario source + parameters + package sources, and one
 merged machine-readable report.  Orchestration never alters simulated
 timing — it only changes how much *host* time a sweep costs.
 """
 
-from .cache import CACHE_SCHEMA, CacheTelemetry, ResultCache, cache_key, canonical_params
+from .cache import CacheTelemetry, ResultCache, cache_key, canonical_params
 from .report import REPORT_SCHEMA, build_report, render_report, write_report
 from .results_io import (
     default_cache_dir,
@@ -18,7 +18,6 @@ from .results_io import (
 from .runner import ScenarioOutcome, SweepOutcome, apply_seed_base, run_batch, run_sweep
 
 __all__ = [
-    "CACHE_SCHEMA",
     "CacheTelemetry",
     "REPORT_SCHEMA",
     "ResultCache",

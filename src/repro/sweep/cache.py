@@ -4,22 +4,17 @@ A scenario is pure (LINT006-enforced), so its result is fully determined
 by its inputs — and those inputs are exactly the cache key:
 
 1. the scenario function's **source fingerprint** (SHA-256 of its source
-   text, via the registry) — editing a scenario invalidates its entries;
+   text, via the registry) — editing a scenario invalidates its entries,
+   including scenarios registered outside the package (tests);
 2. the **resolved parameters** (canonical JSON) — every distinct
    parameterisation caches separately (smoke and full runs never mix);
-3. the **dependency fence**: by default the scenario's call-graph
-   **dependency fingerprint** (:mod:`repro.checks.depfp` — SHA-256 over
-   the source of every module its body can transitively reach), so
-   editing any helper invalidates exactly the dependent scenarios while
-   a release that does not touch the closure keeps the warm cache.  When
-   static analysis cannot vouch for the closure (a CKEY finding, or a
-   dynamically defined scenario), that scenario falls back to the old
-   blanket ``repro.__version__`` fence — sound, just coarser;
-4. the cache schema number — envelope-format and orchestration-layer
-   changes are fenced here (see ``docs/SWEEP.md`` for the policy).
+3. the **package sources hash** (:func:`sources_hash`) — one SHA-256 over
+   every ``.py`` file of the ``repro`` package, so any edit to the
+   library, this envelope code included, invalidates every entry, while
+   an edit confined to the ``__version__`` line keeps the warm cache.
 
-Entries are versioned JSON envelopes under ``benchmarks/results/cache/``
-by default.  A corrupted or mismatched entry is deleted and treated as a
+Entries are JSON envelopes under ``benchmarks/results/cache/`` by
+default.  A corrupted or mismatched entry is deleted and treated as a
 miss — the cache can always be rebuilt from scratch, so recovery never
 raises.  Telemetry (hits/misses/stores/invalidations) feeds the sweep
 report, and :meth:`ResultCache.explain` diffs the current key components
@@ -29,29 +24,43 @@ against the stored envelopes to attribute a miss (``repro sweep
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .. import __version__
 from ..scenarios.registry import Scenario
 from ..scenarios.result import ScenarioResult, _canon
-from .results_io import ensure_dir
+from .results_io import ensure_dir, write_atomically
 
-#: Bump when the envelope layout — or anything in the orchestration layer
-#: excluded from dependency fingerprints — changes; old entries become
-#: misses.
-CACHE_SCHEMA = 3
+#: The ``repro`` package directory whose sources fence every cache entry.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _repro_version() -> str:
-    """The package version, read at call time so test fixtures that
-    simulate a release bump (monkeypatching ``repro.__version__``) are
-    observed."""
-    from .. import __version__
+@functools.lru_cache(maxsize=None)
+def sources_hash() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package, computed
+    once per process.
 
-    return __version__
+    Each file contributes its package-relative path and its bytes.  The
+    ``__version__ =`` line of the package ``__init__.py`` is left out, so
+    a release bump with otherwise unchanged sources keeps the warm cache.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        rel = path.relative_to(_PACKAGE_ROOT).as_posix()
+        data = path.read_bytes()
+        if rel == "__init__.py":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if not line.startswith(b"__version__ =")
+            )
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def canonical_params(params: Mapping[str, object]) -> str:
@@ -59,31 +68,14 @@ def canonical_params(params: Mapping[str, object]) -> str:
     return json.dumps({k: _canon(v) for k, v in params.items()}, sort_keys=True)
 
 
-def dependency_fence(scenario: Scenario) -> Dict[str, str]:
-    """The key components fencing library changes for this scenario.
-
-    ``key_mode == "depfp"`` carries the call-graph dependency fingerprint;
-    ``key_mode == "version"`` is the blanket fallback used when the body is
-    not statically analyzable or a CKEY finding voids the fingerprint.
-    """
-    from ..checks import depfp
-
-    fp = depfp.scenario_fingerprint(scenario)
-    if fp is None or fp.fallback:
-        return {"key_mode": "version", "repro_version": _repro_version()}
-    return {"key_mode": "depfp", "dep_fingerprint": fp.fingerprint}
-
-
 def key_components(scenario: Scenario, params: Mapping[str, object]) -> Dict[str, object]:
     """Every component of the content address, by name — hashed into the
     key, stored in the envelope, and diffed by :meth:`ResultCache.explain`."""
-    components: Dict[str, object] = {
+    return {
         "source": scenario.source_fingerprint(),
         "params": json.loads(canonical_params(params)),
-        "cache_schema": CACHE_SCHEMA,
+        "sources": sources_hash(),
     }
-    components.update(dependency_fence(scenario))
-    return components
 
 
 def cache_key(scenario: Scenario, params: Mapping[str, object]) -> str:
@@ -138,8 +130,8 @@ class ResultCache:
     ) -> Optional[Tuple[ScenarioResult, float]]:
         """Cached ``(result, original_host_seconds)`` or ``None`` (miss).
 
-        Any malformed entry — unreadable file, bad JSON, schema or key
-        mismatch, unparseable result — is deleted and reported as a miss.
+        Any malformed entry — unreadable file, bad JSON, key mismatch,
+        unparseable result — is deleted and reported as a miss.
         """
         path = self.entry_path(scenario, params)
         if not path.exists():
@@ -147,8 +139,6 @@ class ResultCache:
             return None
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
-            if envelope.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"cache schema {envelope.get('schema')!r}")
             if envelope.get("key") != cache_key(scenario, params):
                 raise ValueError("cache key mismatch")
             result = ScenarioResult.from_dict(envelope["result"])
@@ -173,23 +163,21 @@ class ResultCache:
         result: ScenarioResult,
         host_seconds: float,
     ) -> Path:
-        """Persist one result; atomic enough for concurrent same-key writers
-        (both write identical bytes, last rename wins)."""
+        """Persist one result.  Concurrent same-key writers are safe: each
+        writes its own temp file, and the last rename wins."""
         ensure_dir(self.root)
         path = self.entry_path(scenario, params)
         envelope = {
-            "schema": CACHE_SCHEMA,
             "key": cache_key(scenario, params),
             "scenario": scenario.name,
             "params": json.loads(canonical_params(params)),
             "key_components": key_components(scenario, params),
-            "repro_version": _repro_version(),
+            "repro_version": __version__,
             "host_seconds": host_seconds,
             "result": result.to_dict(),
         }
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(envelope, indent=2, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        text = json.dumps(envelope, indent=2, sort_keys=True)
+        write_atomically(path, lambda handle: handle.write(text.encode("utf-8")))
         self.telemetry.stores += 1
         return path
 
@@ -207,12 +195,6 @@ class ResultCache:
                 envelope = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError):
                 lines.append(f"{path.name}: unreadable entry")
-                continue
-            if envelope.get("schema") != CACHE_SCHEMA:
-                lines.append(
-                    f"{path.name}: schema {envelope.get('schema')!r} != {CACHE_SCHEMA} "
-                    "(stale envelope format)"
-                )
                 continue
             stored = envelope.get("key_components")
             if not isinstance(stored, dict):

@@ -8,8 +8,10 @@ assumed ``benchmarks/results/`` was present).
 
 from __future__ import annotations
 
+import os
+import tempfile
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Callable, Union
 
 PathLike = Union[str, Path]
 
@@ -28,6 +30,24 @@ def ensure_dir(path: PathLike) -> Path:
     resolved = Path(path)
     resolved.mkdir(parents=True, exist_ok=True)
     return resolved
+
+
+def write_atomically(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Create ``path`` through a temp file of its own in the same
+    directory, so concurrent writers of the same entry never share a temp
+    name; ``write(handle)`` fills the binary file handle.  The temp file
+    is removed if anything fails."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def default_results_dir() -> Path:

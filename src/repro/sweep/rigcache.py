@@ -3,14 +3,17 @@
 The in-process memo in :mod:`repro.bitstream.generator` makes repeated rig
 builds free *within* one process; sweep workers are separate processes, so
 each would regenerate the same static image from scratch.  This cache
-persists the memoized entries as ``.npz`` files keyed by the same content
-address (device, region, seed, and the rig builder's call-graph dependency
-fingerprint — see :func:`repro.checks.depfp.rig_fingerprint`), letting a
-cold worker restore a rig's configuration memory with one array load.
+persists the memoized entries as ``.npz`` files, letting a cold worker
+restore a rig's configuration memory with one array load.
 
-Same recovery policy as the result cache: a corrupted, truncated or
-schema-mismatched entry is deleted and treated as a miss — the cache is
-always rebuildable, so loading never raises.
+An entry's file name is a SHA-256 over the memo key (device, region,
+seed) and the package sources hash (:func:`repro.sweep.cache.sources_hash`)
+— the same fence as the result cache, so any package edit, the npz layout
+below included, turns every entry into a miss.
+
+Same recovery policy as the result cache: a corrupted or truncated entry
+is deleted and treated as a miss — the cache is always rebuildable, so
+loading never raises.
 
 Install on the generator with::
 
@@ -25,16 +28,14 @@ never the other way around.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .results_io import ensure_dir
-
-#: Bump when the npz layout (or the keying discipline) changes; old
-#: entries become misses.  2 = dependency-fingerprint fence.
-RIG_CACHE_SCHEMA = 2
+from .cache import sources_hash
+from .results_io import ensure_dir, write_atomically
 
 
 class RigCache:
@@ -46,17 +47,17 @@ class RigCache:
         self.stores = 0
         self.invalidations = 0
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
+    def entry_path(self, key: str) -> Path:
+        """Where the entry for memo ``key`` lives under the current sources."""
+        name = hashlib.sha256(f"{sources_hash()}\n{key}".encode("utf-8")).hexdigest()
+        return self.root / f"{name}.npz"
 
     def load(self, key: str) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-        path = self._path(key)
+        path = self.entry_path(key)
         if not path.exists():
             return None
         try:
             with np.load(path) as bundle:
-                if int(bundle["schema"]) != RIG_CACHE_SCHEMA:
-                    raise ValueError("schema mismatch")
                 data = np.asarray(bundle["data"], dtype=np.uint32)
                 written = np.asarray(bundle["written"], dtype=bool)
                 writes = int(bundle["writes"])
@@ -73,21 +74,9 @@ class RigCache:
 
     def store(self, key: str, data: np.ndarray, written: np.ndarray, writes: int) -> None:
         ensure_dir(self.root)
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp.npz")
         try:
-            np.savez_compressed(
-                tmp,
-                schema=np.int64(RIG_CACHE_SCHEMA),
-                data=data,
-                written=written,
-                writes=np.int64(writes),
-            )
-            tmp.replace(path)
+            write_atomically(self.entry_path(key), lambda handle: np.savez_compressed(
+                handle, data=data, written=written, writes=np.int64(writes)))
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             return
         self.stores += 1

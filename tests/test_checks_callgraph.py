@@ -2,9 +2,7 @@
 
 A fake package is written to ``tmp_path`` and analyzed from source, so the
 tests pin the resolution semantics (imports, re-exports, CHA, classes,
-module bodies) and the closure/fingerprint behaviour the cache keys rely
-on — including the load-bearing property that editing a helper changes
-exactly the fingerprints of the roots that reach it.
+module bodies) and the closures the cache-soundness scan walks.
 """
 
 import textwrap
@@ -296,56 +294,6 @@ def test_excluded_subpackages_are_not_parsed(tmp_path):
     graph = CallGraph.build(root, package="fakepkg", exclude=("fakepkg.sweep",))
     assert "fakepkg.core" in graph.modules
     assert "fakepkg.sweep" not in graph.modules
-
-
-# -- fingerprints: the cache-soundness property -------------------------------
-
-TWO_ROOTS = {
-    "helper.py": """
-        def helper_fn(x):
-            return x + 1
-    """,
-    "roots.py": """
-        from .helper import helper_fn
-
-        def uses_helper(x):
-            return helper_fn(x)
-
-        def self_contained(x):
-            return x * 3
-    """,
-}
-
-
-def fingerprint(graph, module, qualname):
-    import hashlib
-
-    closure = graph.closure([(module, qualname)])
-    material = graph.fingerprint_material(closure)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-def test_helper_edit_invalidates_exactly_dependents(tmp_path):
-    root = write_package(tmp_path, TWO_ROOTS)
-    graph = CallGraph.build(root, package="fakepkg", exclude=())
-    before_dep = fingerprint(graph, "fakepkg.roots", "uses_helper")
-    before_free = fingerprint(graph, "fakepkg.roots", "self_contained")
-
-    helper = root / "helper.py"
-    helper.write_text(helper.read_text() + "\n# tweak\n", encoding="utf-8")
-    graph2 = CallGraph.build(root, package="fakepkg", exclude=())
-
-    assert fingerprint(graph2, "fakepkg.roots", "uses_helper") != before_dep
-    assert fingerprint(graph2, "fakepkg.roots", "self_contained") == before_free
-
-
-def test_identical_sources_identical_fingerprints(tmp_path):
-    root = write_package(tmp_path, TWO_ROOTS)
-    graph_a = CallGraph.build(root, package="fakepkg", exclude=())
-    graph_b = CallGraph.build(root, package="fakepkg", exclude=())
-    assert fingerprint(graph_a, "fakepkg.roots", "uses_helper") == fingerprint(
-        graph_b, "fakepkg.roots", "uses_helper"
-    )
 
 
 # -- the real package ---------------------------------------------------------

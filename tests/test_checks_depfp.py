@@ -1,4 +1,4 @@
-"""Dependency fingerprints and the CKEY rule family (repro.checks.depfp)."""
+"""Dependency closures and the CKEY rule family (repro.checks.depfp)."""
 
 import json
 import textwrap
@@ -17,8 +17,8 @@ def graph_for(tmp_path, modules):
     return CallGraph.build(root, package="fakepkg", exclude=())
 
 
-def fingerprint(tmp_path, body, extra=None):
-    """Fingerprint ``fakepkg.scn.root`` whose body is ``body``."""
+def scan(tmp_path, body, extra=None):
+    """Closure of ``fakepkg.scn.root`` whose body is ``body``."""
     modules = {"scn.py": body}
     if extra:
         modules.update(extra)
@@ -32,10 +32,14 @@ def rules(fp):
     return sorted({d.rule for d in fp.findings})
 
 
+def has_errors(fp):
+    return any(d.severity is Severity.ERROR for d in fp.findings)
+
+
 # -- per-rule known-bad fixtures ----------------------------------------------
 
 def test_ckey001_importlib(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import importlib
@@ -45,11 +49,11 @@ def test_ckey001_importlib(tmp_path):
         """,
     )
     assert rules(fp) == ["CKEY001"]
-    assert fp.fallback
+    assert has_errors(fp)
 
 
 def test_ckey001_dunder_import_and_eval(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         def root(name):
@@ -62,7 +66,7 @@ def test_ckey001_dunder_import_and_eval(tmp_path):
 
 
 def test_ckey001_called_getattr_result(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         def root(obj, name):
@@ -73,7 +77,7 @@ def test_ckey001_called_getattr_result(tmp_path):
 
 
 def test_ckey001_uncalled_getattr_is_fine(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         def root(obj):
@@ -84,7 +88,7 @@ def test_ckey001_uncalled_getattr_is_fine(tmp_path):
 
 
 def test_ckey002_environ(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import os
@@ -95,11 +99,11 @@ def test_ckey002_environ(tmp_path):
     )
     assert rules(fp) == ["CKEY002"]
     assert len([d for d in fp.findings if d.rule == "CKEY002"]) == 2
-    assert fp.fallback
+    assert has_errors(fp)
 
 
 def test_ckey003_file_reads(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import numpy as np
@@ -119,7 +123,7 @@ def test_ckey003_file_reads(tmp_path):
 
 def test_ckey004_unresolved_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(depfp, "UNRESOLVED_BUDGET", 1)
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         def root(a, b):
@@ -127,12 +131,12 @@ def test_ckey004_unresolved_budget(tmp_path, monkeypatch):
         """,
     )
     assert rules(fp) == ["CKEY004"]
-    assert fp.fallback
+    assert has_errors(fp)
     assert "budget" in fp.findings[0].message
 
 
 def test_ckey005_untrusted_import(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import scipy.linalg
@@ -143,11 +147,11 @@ def test_ckey005_untrusted_import(tmp_path):
     )
     assert rules(fp) == ["CKEY005"]
     assert "scipy" in fp.findings[0].message
-    assert fp.fallback
+    assert has_errors(fp)
 
 
 def test_trusted_and_stdlib_imports_are_clean(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import hashlib
@@ -158,13 +162,13 @@ def test_trusted_and_stdlib_imports_are_clean(tmp_path):
         """,
     )
     assert fp.findings == ()
-    assert not fp.fallback
+    assert not has_errors(fp)
 
 
 # -- suppression + scope ------------------------------------------------------
 
 def test_noqa_suppresses_single_rule(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         def root(obj, name):
@@ -172,11 +176,11 @@ def test_noqa_suppresses_single_rule(tmp_path):
         """,
     )
     assert fp.findings == ()
-    assert not fp.fallback
+    assert not has_errors(fp)
 
 
 def test_noqa_for_other_rule_does_not_suppress(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         def root(obj, name):
@@ -188,7 +192,7 @@ def test_noqa_for_other_rule_does_not_suppress(tmp_path):
 
 def test_findings_only_from_reached_functions(tmp_path):
     # The env read lives in an *unreached* sibling: the closure stays clean.
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import os
@@ -201,11 +205,11 @@ def test_findings_only_from_reached_functions(tmp_path):
         """,
     )
     assert fp.findings == ()
-    assert not fp.fallback
+    assert not has_errors(fp)
 
 
 def test_finding_in_reached_helper_propagates(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         from .helper import peek
@@ -223,7 +227,7 @@ def test_finding_in_reached_helper_propagates(tmp_path):
         },
     )
     assert rules(fp) == ["CKEY002"]
-    assert fp.fallback
+    assert has_errors(fp)
 
 
 def test_unanalyzable_root_returns_none(tmp_path):
@@ -235,7 +239,7 @@ def test_unanalyzable_root_returns_none(tmp_path):
 # -- JSON round-trip ----------------------------------------------------------
 
 def test_ckey_diagnostics_round_trip_through_report(tmp_path):
-    fp = fingerprint(
+    fp = scan(
         tmp_path,
         """
         import os
@@ -261,7 +265,7 @@ def test_shipped_tree_has_no_ckey_findings():
     report = CheckReport()
     fps = depfp.check_dependencies(report=report)
     assert not report.has_errors, report.format_text()
-    assert all(not fp.fallback for fp in fps)
+    assert not any(has_errors(fp) for fp in fps)
 
 
 def test_check_dependencies_covers_scenarios_and_rig():
@@ -277,7 +281,7 @@ def test_check_dependencies_covers_scenarios_and_rig():
 def test_rig_fingerprint_is_sound():
     fp = depfp.rig_fingerprint()
     assert fp is not None
-    assert not fp.fallback
+    assert not has_errors(fp)
     assert "repro.bitstream.generator" in fp.modules
 
 
@@ -288,11 +292,10 @@ def test_check_dependencies_names_selects_subset():
     assert [fp.label for fp in fps] == ["rig", "table01_resources32"]
 
 
-def test_closure_table_mentions_mode_and_fingerprint():
+def test_closure_table_lists_closure_modules():
     import repro.scenarios
 
     fps = depfp.check_dependencies(names=["table01_resources32"])
     text = depfp.closure_table(fps)
-    assert "table01_resources32" in text
-    assert "[depfp]" in text
-    assert fps[0].fingerprint in text
+    assert text.splitlines()[0] == "table01_resources32"
+    assert all(f"    {module}" in text for module in fps[0].modules)

@@ -1,16 +1,23 @@
 """Content-addressed result cache: hits, invalidation, recovery.
 
-The cache key is (scenario source fingerprint, canonical params, repro
-version, schema) — these tests pin down each invalidation axis plus the
+The cache key is (scenario source fingerprint, canonical params, package
+sources hash) — these tests pin down the in-process invalidation axes, the
 corrupted-entry recovery path (a bad entry must become a miss, never an
-exception).
+exception) and concurrent same-key stores.  Edits to the package sources
+are exercised on a copy of the package in ``tests/test_sweep_fence.py``.
 """
 
 import json
+import multiprocessing
+
+import numpy as np
+import pytest
 
 from repro.scenarios import ScenarioResult
 from repro.scenarios.registry import Scenario
 from repro.sweep import ResultCache, cache_key, canonical_params
+from repro.sweep.cache import sources_hash
+from repro.sweep.rigcache import RigCache
 
 
 # Module-level so inspect.getsource works: two versions of "the same"
@@ -83,14 +90,14 @@ def test_corrupted_entry_recovers_as_miss(tmp_path):
     assert cache.load(entry, params) is not None
 
 
-def test_stale_schema_is_invalidated(tmp_path):
+def test_stale_envelope_key_is_invalidated(tmp_path):
     cache = ResultCache(tmp_path)
     entry = _scenario()
     params = {"n": 3}
     path = cache.store(entry, params, _result([[3]]), host_seconds=0.1)
 
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    envelope["schema"] = 999
+    envelope["key"] = "0" * 64
     path.write_text(json.dumps(envelope), encoding="utf-8")
     assert cache.load(entry, params) is None
     assert cache.telemetry.invalidated == 1
@@ -117,11 +124,7 @@ def test_entry_path_is_human_navigable(tmp_path):
     assert path.suffix == ".json"
 
 
-# -- dependency-fence keying --------------------------------------------------
-#
-# Scenarios registered from real package modules key on their call-graph
-# dependency fingerprint; dynamic test scenarios (like the ones above, whose
-# bodies live outside src/repro) fall back to the blanket version fence.
+# -- package-sources keying --------------------------------------------------
 
 def _registered(name="table01_resources32"):
     import repro.scenarios  # registration side effects
@@ -130,27 +133,9 @@ def _registered(name="table01_resources32"):
     return get_scenario(name)
 
 
-def test_dynamic_scenario_uses_version_fence():
-    from repro.sweep.cache import dependency_fence
-
-    fence = dependency_fence(_scenario())
-    assert fence["key_mode"] == "version"
-    import repro
-
-    assert fence["repro_version"] == repro.__version__
-
-
-def test_registered_scenario_uses_depfp_fence():
-    from repro.sweep.cache import dependency_fence
-
-    fence = dependency_fence(_registered())
-    assert fence["key_mode"] == "depfp"
-    assert len(fence["dep_fingerprint"]) == 64
-
-
 def test_version_bump_keeps_key_when_sources_unchanged(monkeypatch):
-    """The tentpole property: a release that does not touch a scenario's
-    closure must keep the warm cache."""
+    """The key does not read ``repro.__version__``: a release bump with
+    unchanged sources keeps the warm cache."""
     entry = _registered()
     params = dict(entry.params)
     before = cache_key(entry, params)
@@ -158,45 +143,12 @@ def test_version_bump_keeps_key_when_sources_unchanged(monkeypatch):
     assert cache_key(entry, params) == before
 
 
-def test_version_bump_invalidates_version_fenced_scenario(monkeypatch):
-    entry = _scenario()
-    before = cache_key(entry, {"n": 3})
-    monkeypatch.setattr("repro.__version__", "99.0.0")
-    assert cache_key(entry, {"n": 3}) != before
-
-
-def test_helper_edit_invalidates_exactly_dependents():
-    """Simulate editing one helper module by tampering with its hash in the
-    memoized graph: every scenario whose closure contains it must change
-    key, every other scenario must not."""
-    from repro.checks import depfp
-
-    fig = _registered("fig1_generic_architecture")
-    table = _registered("table01_resources32")
-    fig_params, table_params = dict(fig.params), dict(table.params)
-    try:
-        graph = depfp.package_graph()
-        helper = "repro.bus.plb"  # reached by the table rig, not the figure
-        assert helper in depfp.scenario_fingerprint(table, graph=graph).modules
-        assert helper not in depfp.scenario_fingerprint(fig, graph=graph).modules
-        fig_before = cache_key(fig, fig_params)
-        table_before = cache_key(table, table_params)
-
-        graph.modules[helper].source_hash = "0" * 64
-        graph.memo.clear()
-
-        assert cache_key(table, table_params) != table_before
-        assert cache_key(fig, fig_params) == fig_before
-    finally:
-        depfp.reset_graph()
-
-
 def test_stored_envelope_records_key_components(tmp_path):
     cache = ResultCache(tmp_path)
     path = cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
     envelope = json.loads(path.read_text(encoding="utf-8"))
     components = envelope["key_components"]
-    assert components["key_mode"] == "version"
+    assert components["sources"] == sources_hash()
     assert components["params"] == {"n": 3}
 
 
@@ -216,16 +168,55 @@ def test_explain_attributes_params_change(tmp_path):
     assert any("params" in line for line in lines)
 
 
-def test_explain_attributes_version_fence(tmp_path, monkeypatch):
-    cache = ResultCache(tmp_path)
-    cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
-    monkeypatch.setattr("repro.__version__", "99.0.0")
-    lines = cache.explain(_scenario(), {"n": 3})
-    assert any("repro_version" in line for line in lines)
-
-
 def test_explain_reports_hit(tmp_path):
     cache = ResultCache(tmp_path)
     cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
     lines = cache.explain(_scenario(), {"n": 3})
     assert any("identical" in line for line in lines)
+
+
+# -- concurrent stores --------------------------------------------------------
+
+_WRITERS = 4
+_STORES = 200
+
+
+def _store_result_repeatedly(root, barrier):
+    cache = ResultCache(root)
+    barrier.wait()
+    for _ in range(_STORES):
+        cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
+
+
+def _store_rig_repeatedly(root, barrier):
+    cache = RigCache(root)
+    data = np.arange(64, dtype=np.uint32)
+    written = np.ones(64, dtype=bool)
+    barrier.wait()
+    for _ in range(_STORES):
+        cache.store("shared-key", data, written, 7)
+    assert cache.stores == _STORES
+
+
+@pytest.mark.parametrize(
+    "writer", [_store_result_repeatedly, _store_rig_repeatedly], ids=["result", "rig"]
+)
+def test_concurrent_same_key_stores_never_collide(tmp_path, writer):
+    """Processes storing the same key at once must all succeed and leave
+    one readable entry and no temp files behind."""
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(_WRITERS)
+    workers = [
+        context.Process(target=writer, args=(tmp_path, barrier)) for _ in range(_WRITERS)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [0] * _WRITERS
+    assert len(list(tmp_path.iterdir())) == 1
+    if writer is _store_result_repeatedly:
+        assert ResultCache(tmp_path).load(_scenario(), {"n": 3}) is not None
+    else:
+        data, written, writes = RigCache(tmp_path).load("shared-key")
+        assert writes == 7 and data.sum() == sum(range(64)) and written.all()

@@ -7,11 +7,11 @@ seed 2006) on the calibrated 64-bit rig — through both executors:
   (:mod:`repro.faults.montecarlo`);
 * **reference** — the per-trial scalar loop that defines the semantics.
 
-Both consume the identical sampled fault load; the bench enforces that
-their ``TrialResult`` streams and reports are byte-identical, that the
-batched path beats the reference by the ``--check`` speedup floor, and
-that the whole campaign (calibration simulations included) fits the
-end-to-end budget.  Writes ``benchmarks/results/BENCH_faults.json``
+Both consume the identical sampled fault load; the bench times them apart,
+gates on ``require_equivalent`` (byte-identical ``TrialResult`` streams
+and reports), and enforces that the batched path beats the reference by
+the ``--check`` speedup floor and that the whole campaign (calibration
+simulations included) fits the end-to-end budget.  Writes ``benchmarks/results/BENCH_faults.json``
 (recovery rates and vulnerability factors with Wilson 95% intervals)
 plus the vulnerability heatmap artifact
 ``benchmarks/results/fault_heatmap.txt``.
@@ -33,8 +33,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.errors import CheckError  # noqa: E402
 from repro.faults.heatmap import empirical_vulnerability, render_heatmap  # noqa: E402
-from repro.faults.montecarlo import calibrate_rig, run_mc_campaign  # noqa: E402
+from repro.faults.montecarlo import calibrate_rig, require_equivalent, run_mc_campaign  # noqa: E402
 from repro.faults.sampling import DEFAULT_MC_KINDS  # noqa: E402
 from repro.scenarios.rigs import build_rig64  # noqa: E402
 
@@ -82,14 +83,12 @@ def run(check: bool, trials: int, seed: int) -> int:
     reference_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    stream_equal = batch.trial_results() == reference.trial_results()
-    report_equal = batch.to_dict() == reference.to_dict()
-    if not stream_equal:
-        failures.append(
-            "batched executor diverged from the reference TrialResult stream"
-        )
-    if not report_equal:
-        failures.append("batched report diverged from the reference report")
+    try:
+        require_equivalent(batch, reference)
+        equivalent = True
+    except CheckError as exc:
+        failures.append(str(exc))
+        equivalent = False
     equivalence_s = time.perf_counter() - t0
     end_to_end_s = time.perf_counter() - wall0
 
@@ -147,7 +146,7 @@ def run(check: bool, trials: int, seed: int) -> int:
         "host_s_end_to_end": round(end_to_end_s, 6),
         "speedup": round(speedup, 2),
         "trials_per_s_batch": round(rate, 1),
-        "equivalent": bool(stream_equal and report_equal),
+        "equivalent": equivalent,
         **batch.to_dict(),
     }
 

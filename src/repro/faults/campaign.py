@@ -8,6 +8,13 @@ scrubber, or DMA retry) asked to survive it.  Every random choice derives
 from the campaign seed, so a report reproduces bit-for-bit from
 ``(seed, kinds, trials)``.
 
+Four kinds (:data:`ROBUST_PLANS`) are one armed ``load_robust`` each, run
+by :func:`armed_robust_load`; the Monte-Carlo calibration
+(:func:`repro.faults.montecarlo.calibrate_rig`) measures its outcome
+model through the same function and table, so both layers simulate the
+same timelines.  ``upset-scrub`` (a scrub pass between loads) and
+``dma`` (a chain retry) are the two special cases.
+
 Reported per trial: whether the fault was *recovered* (the hardware load
 or transfer ultimately succeeded), whether the loader *degraded* to the
 registered software fallback, attempts/scrubbed-frame counts, the number
@@ -18,9 +25,9 @@ clean-load baseline (the overhead of being robust).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..errors import TransferError
+from ..errors import CheckError, InvariantError, TransferError
 from .plan import FaultPlan, armed, derive_rng_seed
 
 #: Trial kinds in reporting order.
@@ -32,6 +39,37 @@ DEFAULT_KINDS: Tuple[str, ...] = (
     "dma",
     "fallback",
 )
+
+#: The robust-load kinds and the ``FaultPlan`` schedule each one strikes:
+#: ``seu`` corrupts a staged feed (the ICAP CRC rejects it and the loader
+#: retries), ``commit`` forces a commit failure on a clean stream,
+#: ``upset`` lands a configuration-memory upset right after the commit
+#: (the in-load readback scan scrubs it), and ``fallback`` corrupts every
+#: attempt's feed, so the loader rolls back and degrades to software.
+ROBUST_PLANS: Dict[str, str] = {
+    "seu": "seu_feeds",
+    "commit": "commit_faults",
+    "upset": "post_commit_upsets",
+    "fallback": "seu_feeds",
+}
+
+
+def parse_kinds(text: str, allowed: Sequence[str]) -> Tuple[str, ...]:
+    """The comma-separated kinds of ``text``, each one of ``allowed``.
+
+    Raises :class:`~repro.errors.CheckError` on an empty list or an
+    unknown kind, so a bad request fails before any rig is built.
+    """
+    kinds = tuple(kind.strip() for kind in text.split(",") if kind.strip())
+    if not kinds:
+        raise CheckError(f"no fault kinds in {text!r}")
+    unknown = [kind for kind in kinds if kind not in allowed]
+    if unknown:
+        raise CheckError(
+            f"unknown fault kind(s) {', '.join(unknown)}; "
+            f"expected any of {', '.join(allowed)}"
+        )
+    return kinds
 
 
 @dataclass
@@ -49,7 +87,8 @@ class TrialResult:
     elapsed_ps: int
     detail: str = ""
     #: Monte-Carlo outcome class (``repro.faults.montecarlo.OUTCOMES``);
-    #: empty for the PR 5 per-trial simulator campaign.
+    #: empty for a :func:`run_trial` simulation, whose timeline the
+    #: calibrated model charges as a constant instead.
     outcome: str = ""
 
 
@@ -98,12 +137,38 @@ class CampaignReport:
         return trial.elapsed_ps / self.clean_load_ps
 
 
-def _trial_seed(seed: int, kind: str, trial: int) -> int:
-    return derive_rng_seed(seed, f"{kind}:{trial}") & 0x7FFFFFFF
+def plan_seed(seed: int, label: str) -> int:
+    """The ``FaultPlan`` seed a campaign (or calibration) derives per label."""
+    return derive_rng_seed(seed, label) & 0x7FFFFFFF
 
 
 def _detail(plan: FaultPlan) -> str:
     return "; ".join(f"{kind}@{site}: {note}" for kind, site, note in plan.summary())
+
+
+def armed_robust_load(
+    builder: Callable[[], Tuple[object, object]],
+    kind: str,
+    seed: int,
+    kernel: str,
+    max_attempts: int,
+    strikes: int = 1,
+) -> Tuple[FaultPlan, object]:
+    """One ``load_robust`` of ``kernel`` on a fresh rig, under ``kind``'s plan.
+
+    The plan (see :data:`ROBUST_PLANS`) strikes the first ``strikes``
+    attempts; ``fallback`` strikes every attempt, after registering the
+    software implementation the loader degrades to.  Returns the plan
+    (what was delivered) with the loader's result.
+    """
+    system, manager = builder()
+    if kind == "fallback":
+        manager.register_software(kernel, f"sw:{kernel}")
+        strikes = max_attempts
+    plan = FaultPlan(seed, **{ROBUST_PLANS[kind]: range(strikes)})
+    with armed(system, plan):
+        result = manager.load_robust(kernel, max_attempts=max_attempts)
+    return plan, result
 
 
 def run_trial(
@@ -115,50 +180,25 @@ def run_trial(
     max_attempts: int,
 ) -> TrialResult:
     """One seeded fault trial on a fresh system; see :data:`DEFAULT_KINDS`."""
+    if kind not in DEFAULT_KINDS:
+        raise InvariantError(
+            f"unknown fault-trial kind {kind!r}; expected one of {DEFAULT_KINDS}"
+        )
+    trial_seed = plan_seed(seed, f"{kind}:{trial}")
+
+    if kind in ROBUST_PLANS:
+        plan, result = armed_robust_load(
+            builder, kind, trial_seed, kernel, max_attempts
+        )
+        return TrialResult(
+            kind, trial, trial_seed,
+            recovered=not result.fallback, fallback=result.fallback,
+            attempts=result.attempts, scrubbed_frames=result.scrubbed_frames,
+            faults_delivered=plan.faults_delivered,
+            elapsed_ps=result.elapsed_ps, detail=_detail(plan),
+        )
+
     system, manager = builder()
-    trial_seed = _trial_seed(seed, kind, trial)
-
-    if kind == "seu":
-        # Single-bit upset in the staged bitstream of the first feed: the
-        # ICAP CRC rejects it, the loader retries with a clean copy.
-        plan = FaultPlan(trial_seed, seu_feeds={0})
-        with armed(system, plan):
-            result = manager.load_robust(kernel, max_attempts=max_attempts)
-        return TrialResult(
-            kind, trial, trial_seed,
-            recovered=not result.fallback, fallback=result.fallback,
-            attempts=result.attempts, scrubbed_frames=result.scrubbed_frames,
-            faults_delivered=plan.faults_delivered,
-            elapsed_ps=result.elapsed_ps, detail=_detail(plan),
-        )
-
-    if kind == "commit":
-        # The ICAP reports a commit/CRC failure even for a clean stream.
-        plan = FaultPlan(trial_seed, commit_faults={0})
-        with armed(system, plan):
-            result = manager.load_robust(kernel, max_attempts=max_attempts)
-        return TrialResult(
-            kind, trial, trial_seed,
-            recovered=not result.fallback, fallback=result.fallback,
-            attempts=result.attempts, scrubbed_frames=result.scrubbed_frames,
-            faults_delivered=plan.faults_delivered,
-            elapsed_ps=result.elapsed_ps, detail=_detail(plan),
-        )
-
-    if kind == "upset":
-        # A configuration-memory upset lands right after the commit; the
-        # in-load readback scan must catch and scrub it.
-        plan = FaultPlan(trial_seed, post_commit_upsets={0})
-        with armed(system, plan):
-            result = manager.load_robust(kernel, max_attempts=max_attempts)
-        return TrialResult(
-            kind, trial, trial_seed,
-            recovered=not result.fallback, fallback=result.fallback,
-            attempts=result.attempts, scrubbed_frames=result.scrubbed_frames,
-            faults_delivered=plan.faults_delivered,
-            elapsed_ps=result.elapsed_ps, detail=_detail(plan),
-        )
-
     if kind == "upset-scrub":
         # Upset strikes *between* loads; the periodic scrub pass repairs it.
         result = manager.load_robust(kernel, max_attempts=max_attempts)
@@ -173,50 +213,32 @@ def run_trial(
             elapsed_ps=report.elapsed_ps, detail=_detail(plan),
         )
 
-    if kind == "dma":
-        # A descriptor aborts mid-chain; the driver retries the chain.
-        from ..dock.dma import Descriptor
+    # dma: a descriptor aborts mid-chain; software retries the chain.
+    from ..dock.dma import Descriptor
 
-        plan = FaultPlan(trial_seed, dma_descriptors={0})
-        descriptor = Descriptor(
-            src=system.ext_mem_base,
-            dst=system.ext_mem_base + 0x1000,
-            word_count=64,
-            size_bytes=8 if system.bus_width >= 64 else 4,
-        )
-        engine = system.dock.dma
-        start_ps = system.cpu.now_ps
-        recovered = False
-        with armed(system, plan):
-            try:
-                done = engine.run_chain(start_ps, [descriptor])
-            except TransferError:
-                done = engine.run_chain(start_ps, [descriptor])
-                recovered = True
-        return TrialResult(
-            kind, trial, trial_seed,
-            recovered=recovered, fallback=False,
-            attempts=2 if recovered else 1, scrubbed_frames=0,
-            faults_delivered=plan.faults_delivered,
-            elapsed_ps=done - start_ps, detail=_detail(plan),
-        )
-
-    if kind == "fallback":
-        # Every attempt's staged copy is corrupted: the loader must roll
-        # back and degrade to the registered software implementation.
-        manager.register_software(kernel, f"sw:{kernel}")
-        plan = FaultPlan(trial_seed, seu_feeds=set(range(max_attempts)))
-        with armed(system, plan):
-            result = manager.load_robust(kernel, max_attempts=max_attempts)
-        return TrialResult(
-            kind, trial, trial_seed,
-            recovered=not result.fallback, fallback=result.fallback,
-            attempts=result.attempts, scrubbed_frames=result.scrubbed_frames,
-            faults_delivered=plan.faults_delivered,
-            elapsed_ps=result.elapsed_ps, detail=_detail(plan),
-        )
-
-    raise ValueError(f"unknown fault-trial kind {kind!r}")
+    plan = FaultPlan(trial_seed, dma_descriptors={0})
+    descriptor = Descriptor(
+        src=system.ext_mem_base,
+        dst=system.ext_mem_base + 0x1000,
+        word_count=64,
+        size_bytes=8 if system.bus_width >= 64 else 4,
+    )
+    engine = system.dock.dma
+    start_ps = system.cpu.now_ps
+    recovered = False
+    with armed(system, plan):
+        try:
+            done = engine.run_chain(start_ps, [descriptor])
+        except TransferError:
+            done = engine.run_chain(start_ps, [descriptor])
+            recovered = True
+    return TrialResult(
+        kind, trial, trial_seed,
+        recovered=recovered, fallback=False,
+        attempts=2 if recovered else 1, scrubbed_frames=0,
+        faults_delivered=plan.faults_delivered,
+        elapsed_ps=done - start_ps, detail=_detail(plan),
+    )
 
 
 def run_campaign(

@@ -20,10 +20,11 @@ import json
 import sys
 from typing import List, Optional
 
-from ..errors import CheckError
+from ..errors import CheckError, InvariantError
 from ..reporting import format_table
+from .campaign import parse_kinds
 from .heatmap import empirical_vulnerability, render_heatmap
-from .montecarlo import calibrate_rig, run_mc_campaign
+from .montecarlo import check_campaign_arguments, run_mc_campaign
 from .sampling import DEFAULT_MC_KINDS
 
 
@@ -54,32 +55,18 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     from ..scenarios.rigs import build_rig64
 
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    if not kinds:
-        print(f"no fault kinds in {args.kinds!r}", file=sys.stderr)
+    try:
+        kinds = parse_kinds(args.kinds, DEFAULT_MC_KINDS)
+        check_campaign_arguments(kinds, args.trials, args.batch, args.max_attempts)
+    except (CheckError, InvariantError) as exc:
+        print(f"repro faults: {exc}", file=sys.stderr)
         return 2
-    rig = calibrate_rig(
-        build_rig64, kernel=args.kernel, max_attempts=args.max_attempts
-    )
-    executor = "batch" if args.executor == "both" else args.executor
     report = run_mc_campaign(
-        rig=rig, kinds=kinds, trials=args.trials, seed=args.seed,
+        build_rig64, kinds=kinds, trials=args.trials, seed=args.seed,
+        kernel=args.kernel, max_attempts=args.max_attempts,
         batch_size=args.batch, target_half_width=args.target_ci,
-        executor=executor,
+        executor=args.executor,
     )
-    if args.executor == "both":
-        reference = run_mc_campaign(
-            rig=rig, kinds=kinds, trials=args.trials, seed=args.seed,
-            batch_size=args.batch, target_half_width=args.target_ci,
-            executor="reference",
-        )
-        if (
-            report.trial_results() != reference.trial_results()
-            or report.to_dict() != reference.to_dict()
-        ):
-            raise CheckError(
-                "batched executor diverged from the per-trial reference"
-            )
 
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -126,13 +113,13 @@ def run(args: argparse.Namespace) -> int:
     if args.heatmap:
         if "upset" in report.batches:
             strikes, criticals = report.frame_tallies()
-            values = empirical_vulnerability(rig.space, strikes, criticals)
+            values = empirical_vulnerability(report.space, strikes, criticals)
             title = f"empirical, {report.trials_run['upset']} upset trial(s)"
         else:
             values = None
             title = "per-frame vulnerability (analytic)"
         print()
-        print(render_heatmap(rig.space, values, title=title))
+        print(render_heatmap(report.space, values, title=title))
     return 0
 
 

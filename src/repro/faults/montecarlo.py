@@ -14,9 +14,10 @@ not on where the strike lands — a property this module does not assume
 but **measures**: :func:`calibrate_rig` runs one real simulation per
 outcome class (clean robust load, scan-only scrub, scrub-with-repair,
 in-load verify catch, CRC retry, k-fold commit retry, software
-fallback) through the PR 5 machinery on fresh rigs, and
-``tests/test_faults_montecarlo.py`` pins the constants against live
-simulations at multiple strike positions and seeds.  With the
+fallback) on fresh rigs, through the per-trial campaign's loader
+(:func:`repro.faults.campaign.armed_robust_load`), and
+``tests/test_faults_montecarlo.py`` checks the constants against
+:func:`~repro.faults.campaign.run_trial` at other strike positions.  With the
 :class:`OutcomeModel` in hand, classifying a trial reduces to array
 lookups:
 
@@ -49,9 +50,8 @@ import numpy as np
 
 from ..analysis.stats import percentiles_ps, wilson_half_width, wilson_interval
 from ..bitstream.bitlinker import Placement
-from ..errors import InvariantError
-from .campaign import TrialResult
-from .plan import FaultPlan, armed, derive_rng_seed
+from ..errors import CheckError, InvariantError
+from .campaign import TrialResult, armed_robust_load, plan_seed
 from .sampling import (
     DEFAULT_MC_KINDS,
     REGION_ALL,
@@ -93,7 +93,7 @@ class OutcomeModel:
     """Per-rig recovery-timeline constants, measured by real simulation.
 
     Every figure is a simulated-time picosecond count straight out of
-    the PR 5 fault machinery; nothing here is estimated or fitted.
+    a real fault simulation; nothing here is estimated or fitted.
     """
 
     #: Fault-free ``load_robust`` (the campaign baseline).
@@ -177,14 +177,12 @@ def calibrate_rig(
     repair = manager2.scrub()
     _expect(repair.frames_repaired == 1, "repair scrub did not repair 1 frame")
 
+    def armed_load(kind: str, label: str, strikes: int = 1):
+        seed = plan_seed(calibration_seed, f"cal:{label}")
+        return armed_robust_load(builder, kind, seed, kernel, max_attempts, strikes)[1]
+
     # Post-commit upset caught by the robust loader's verify scan.
-    system3, manager3 = builder()
-    plan = FaultPlan(
-        derive_rng_seed(calibration_seed, "cal:post-commit") & 0x7FFFFFFF,
-        post_commit_upsets={0},
-    )
-    with armed(system3, plan):
-        inload = manager3.load_robust(kernel, max_attempts=max_attempts)
+    inload = armed_load("upset", "post-commit")
     _expect(
         not inload.fallback
         and inload.attempts == 1
@@ -195,13 +193,7 @@ def calibrate_rig(
     # Staged-stream SEU rejected by the packet CRC, one retry.
     seu_retry_ps = 0
     if max_attempts >= 2:
-        system4, manager4 = builder()
-        plan = FaultPlan(
-            derive_rng_seed(calibration_seed, "cal:seu") & 0x7FFFFFFF,
-            seu_feeds={0},
-        )
-        with armed(system4, plan):
-            seu = manager4.load_robust(kernel, max_attempts=max_attempts)
+        seu = armed_load("seu", "seu")
         _expect(
             not seu.fallback and seu.attempts == 2,
             "seu calibration did not retry once",
@@ -211,13 +203,7 @@ def calibrate_rig(
     # Commit-failure retries at every survivable depth.
     commit_retry: List[int] = []
     for failures in range(1, max_attempts):
-        systemk, managerk = builder()
-        plan = FaultPlan(
-            derive_rng_seed(calibration_seed, f"cal:commit:{failures}") & 0x7FFFFFFF,
-            commit_faults=set(range(failures)),
-        )
-        with armed(systemk, plan):
-            result = managerk.load_robust(kernel, max_attempts=max_attempts)
+        result = armed_load("commit", f"commit:{failures}", failures)
         _expect(
             not result.fallback and result.attempts == failures + 1,
             f"commit calibration ({failures} failures) took "
@@ -226,14 +212,7 @@ def calibrate_rig(
         commit_retry.append(result.elapsed_ps)
 
     # Exhausted attempts: rollback + registered software fallback.
-    systemf, managerf = builder()
-    managerf.register_software(kernel, f"sw:{kernel}")
-    plan = FaultPlan(
-        derive_rng_seed(calibration_seed, "cal:fallback") & 0x7FFFFFFF,
-        commit_faults=set(range(max_attempts)),
-    )
-    with armed(systemf, plan):
-        fallback = managerf.load_robust(kernel, max_attempts=max_attempts)
+    fallback = armed_load("fallback", "fallback")
     _expect(
         fallback.fallback and fallback.attempts == max_attempts,
         "fallback calibration did not degrade to software",
@@ -464,26 +443,13 @@ def classify_reference(
     )
 
 
-EXECUTORS: Tuple[str, ...] = ("batch", "reference")
+#: Executors :func:`run_mc_campaign` accepts; ``both`` runs the batched
+#: and the reference executor over the same load and gates on
+#: :func:`require_equivalent`.
+EXECUTORS: Tuple[str, ...] = ("batch", "reference", "both")
 
-
-def _classify(
-    executor: str,
-    space: FaultSpace,
-    model: OutcomeModel,
-    load: FaultLoad,
-    start: int,
-    count: int,
-) -> TrialBatch:
-    if load.kind == "seu" and model.max_attempts < 2:
-        raise InvariantError(
-            "seu trials need max_attempts >= 2 (the CRC reject consumes one)"
-        )
-    if executor == "batch":
-        return classify_batch(space, model, load, start, count)
-    if executor == "reference":
-        return classify_reference(space, model, load, start, count)
-    raise InvariantError(f"unknown executor {executor!r}; expected {EXECUTORS}")
+#: Fewest trials a kind runs before early stopping may end it.
+EARLY_STOP_MIN_TRIALS = 512
 
 
 def _strike_detail(space: FaultSpace, load: FaultLoad, i: int, region: int) -> str:
@@ -713,6 +679,39 @@ class McReport:
         }
 
 
+def check_campaign_arguments(
+    kinds: Sequence[str], trials: int, batch_size: int, max_attempts: int
+) -> None:
+    """Reject counts no campaign can run, before anything is simulated."""
+    for name, value in (
+        ("trials", trials),
+        ("batch_size", batch_size),
+        ("max_attempts", max_attempts),
+    ):
+        if value < 1:
+            raise InvariantError(f"{name} must be >= 1, got {value}")
+    if "seu" in kinds and max_attempts < 2:
+        raise InvariantError(
+            "seu trials need max_attempts >= 2 (the CRC reject consumes one)"
+        )
+
+
+def require_equivalent(batch: McReport, reference: McReport) -> None:
+    """The fast-path contract: one fault load, one ``TrialResult`` stream.
+
+    Raises :class:`~repro.errors.CheckError` unless the batched
+    campaign's trial stream and report equal the per-trial reference's.
+    """
+    if batch.trial_results() != reference.trial_results():
+        raise CheckError(
+            "batched executor diverged from the per-trial reference stream"
+        )
+    if batch.to_dict() != reference.to_dict():
+        raise CheckError(
+            "batched report diverged from the per-trial reference report"
+        )
+
+
 def run_mc_campaign(
     builder: Optional[Callable[[], Tuple[object, object]]] = None,
     *,
@@ -724,26 +723,38 @@ def run_mc_campaign(
     max_attempts: int = 3,
     batch_size: int = 8192,
     target_half_width: Optional[float] = None,
-    min_trials: int = 512,
     executor: str = "batch",
 ) -> McReport:
     """Run a stratified Monte-Carlo campaign on one calibrated rig.
 
-    Pass a prebuilt ``rig`` to amortise calibration across campaigns
-    (the equivalence check reruns the same load through both
-    executors); otherwise ``builder`` is calibrated first.  With a
+    Pass a prebuilt ``rig`` to amortise calibration across campaigns;
+    otherwise ``builder`` is calibrated first.  ``executor="both"`` runs
+    the batched and the reference executor, returns the batched report
+    and raises :class:`~repro.errors.CheckError` from
+    :func:`require_equivalent` if they differ.  With a
     ``target_half_width``, each kind stops after the first whole batch
     at which every monitored Wilson interval's half-width (and at least
-    ``min_trials`` trials) is reached — a deterministic function of the
-    shared fault load, so both executors agree on the stopping points.
+    :data:`EARLY_STOP_MIN_TRIALS` trials) is reached — a deterministic
+    function of the shared fault load, so both executors agree on the
+    stopping points.
     """
+    if executor not in EXECUTORS:
+        raise InvariantError(f"unknown executor {executor!r}; expected {EXECUTORS}")
     if rig is None:
         if builder is None:
             raise InvariantError("run_mc_campaign needs a builder or a rig")
         rig = calibrate_rig(builder, kernel=kernel, max_attempts=max_attempts)
+    check_campaign_arguments(kinds, trials, batch_size, rig.model.max_attempts)
+    if executor == "both":
+        same = dict(
+            rig=rig, kinds=kinds, trials=trials, seed=seed,
+            batch_size=batch_size, target_half_width=target_half_width,
+        )
+        report = run_mc_campaign(executor="batch", **same)
+        require_equivalent(report, run_mc_campaign(executor="reference", **same))
+        return report
     space, model = rig.space, rig.model
-    if batch_size < 1:
-        raise InvariantError(f"batch_size must be >= 1, got {batch_size}")
+    classify = classify_batch if executor == "batch" else classify_reference
     report = McReport(
         seed=seed,
         kinds=tuple(kinds),
@@ -760,9 +771,9 @@ def run_mc_campaign(
         stopped = False
         while done < trials:
             count = min(batch_size, trials - done)
-            parts.append(_classify(executor, space, model, load, done, count))
+            parts.append(classify(space, model, load, done, count))
             done += count
-            if target_half_width is not None and done >= min_trials:
+            if target_half_width is not None and done >= EARLY_STOP_MIN_TRIALS:
                 merged = _merge_batches(kind, parts)
                 if all(
                     wilson_half_width(successes, n) <= target_half_width

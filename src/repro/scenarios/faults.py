@@ -22,21 +22,15 @@ Four scenarios, all pure and cacheable like everything in the registry:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from ..faults.campaign import DEFAULT_KINDS, run_campaign
+from ..faults.campaign import DEFAULT_KINDS, parse_kinds, run_campaign
 from ..faults.heatmap import empirical_vulnerability, render_heatmap
-from ..faults.montecarlo import calibrate_rig, run_mc_campaign
+from ..faults.montecarlo import run_mc_campaign
 from ..faults.sampling import DEFAULT_MC_KINDS, REGION_LABELS
 from .registry import scenario
 from .result import ScenarioResult, require
 from .rigs import build_rig64
-
-
-def _parse_kinds(kinds: str) -> Tuple[str, ...]:
-    parsed = tuple(kind.strip() for kind in kinds.split(",") if kind.strip())
-    require(bool(parsed), f"no fault kinds in {kinds!r}")
-    return parsed
 
 
 @scenario(
@@ -55,7 +49,7 @@ def _parse_kinds(kinds: str) -> Tuple[str, ...]:
 def fault_campaign(
     trials: int, seed: int, kernel: str, max_attempts: int, kinds: str
 ) -> ScenarioResult:
-    kind_tuple = _parse_kinds(kinds)
+    kind_tuple = parse_kinds(kinds, DEFAULT_KINDS)
     report = run_campaign(
         build_rig64, kinds=kind_tuple, trials=trials, seed=seed,
         kernel=kernel, max_attempts=max_attempts,
@@ -128,7 +122,6 @@ def fault_campaign(
         "max_attempts": 3,
         "kinds": ",".join(DEFAULT_MC_KINDS),
         "batch_size": 8192,
-        "check_equivalence": True,
     },
     smoke_params={"trials": 200, "batch_size": 128},
 )
@@ -139,30 +132,16 @@ def mc_campaign(
     max_attempts: int,
     kinds: str,
     batch_size: int,
-    check_equivalence: bool,
 ) -> ScenarioResult:
-    kind_tuple = _parse_kinds(kinds)
-    rig = calibrate_rig(build_rig64, kernel=kernel, max_attempts=max_attempts)
+    kind_tuple = parse_kinds(kinds, DEFAULT_MC_KINDS)
+    # The fast-path contract, enforced where the numbers are made: the
+    # per-trial reference executor must emit the identical TrialResult
+    # stream and report from the same fault load, or this raises.
     report = run_mc_campaign(
-        rig=rig, kinds=kind_tuple, trials=trials, seed=seed,
-        batch_size=batch_size, executor="batch",
+        build_rig64, kinds=kind_tuple, trials=trials, seed=seed,
+        kernel=kernel, max_attempts=max_attempts, batch_size=batch_size,
+        executor="both",
     )
-    if check_equivalence:
-        # The fast-path contract, enforced where the numbers are made:
-        # the per-trial reference executor must emit the identical
-        # TrialResult stream and report from the same fault load.
-        reference = run_mc_campaign(
-            rig=rig, kinds=kind_tuple, trials=trials, seed=seed,
-            batch_size=batch_size, executor="reference",
-        )
-        require(
-            report.trial_results() == reference.trial_results(),
-            "batched executor diverged from the per-trial reference stream",
-        )
-        require(
-            report.to_dict() == reference.to_dict(),
-            "batched report diverged from the per-trial reference report",
-        )
     rows: List[List[object]] = []
     for stratum in report.strata():
         estimate = stratum.get("vulnerability", stratum.get("recovery_rate"))
@@ -193,7 +172,7 @@ def mc_campaign(
         "kinds": len(kind_tuple),
         "batch_size": batch_size,
         "clean_load_ps": report.model.clean_ps,
-        "equivalence_checked": bool(check_equivalence),
+        "equivalence_checked": True,
         "analytic_vulnerability": report.space.analytic_vulnerability(),
     }
     if overall:
@@ -241,16 +220,16 @@ def mc_campaign(
 def mc_vulnerability(
     trials: int, seed: int, kernel: str, max_attempts: int, batch_size: int
 ) -> ScenarioResult:
-    rig = calibrate_rig(build_rig64, kernel=kernel, max_attempts=max_attempts)
     report = run_mc_campaign(
-        rig=rig, kinds=("upset",), trials=trials, seed=seed,
-        batch_size=batch_size, executor="batch",
+        build_rig64, kinds=("upset",), trials=trials, seed=seed,
+        kernel=kernel, max_attempts=max_attempts, batch_size=batch_size,
     )
+    space = report.space
     strikes, criticals = report.frame_tallies()
-    analytic_map = render_heatmap(rig.space)
+    analytic_map = render_heatmap(space)
     empirical_map = render_heatmap(
-        rig.space,
-        empirical_vulnerability(rig.space, strikes, criticals),
+        space,
+        empirical_vulnerability(space, strikes, criticals),
         title=f"empirical, {report.total_trials} upset trial(s), seed {seed}",
     )
     rows: List[List[object]] = []
@@ -272,7 +251,7 @@ def mc_vulnerability(
     overall = next(
         s for s in report.strata() if s["region"] == REGION_LABELS[3]
     )
-    analytic_overall = rig.space.analytic_vulnerability()
+    analytic_overall = space.analytic_vulnerability()
     lo, hi = overall["vulnerability_ci95"]
     require(
         lo <= analytic_overall <= hi,
@@ -283,7 +262,7 @@ def mc_vulnerability(
         name="mc_vulnerability",
         title=(
             f"Vulnerability factors: {report.total_trials} upset trial(s) over "
-            f"{rig.space.total_frames} frames, seed {seed}"
+            f"{space.total_frames} frames, seed {seed}"
         ),
         headers=[
             "region",
@@ -300,9 +279,9 @@ def mc_vulnerability(
             "vulnerability": overall["vulnerability"],
             "vulnerability_ci95": overall["vulnerability_ci95"],
             "analytic_vulnerability": analytic_overall,
-            "essential_bits": int(rig.space.essential_counts().sum()),
-            "total_bits": rig.space.total_bits,
-            "frames": rig.space.total_frames,
+            "essential_bits": int(space.essential_counts().sum()),
+            "total_bits": space.total_bits,
+            "frames": space.total_frames,
         },
         text=empirical_map,
         appendix=analytic_map,

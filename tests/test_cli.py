@@ -141,6 +141,30 @@ def test_faults_json_report(capsys):
     assert report["total_trials"] == 32
 
 
-def test_faults_rejects_empty_kinds(capsys):
-    assert main(["faults", "--kinds", " , "]) == 2
-    assert "no fault kinds" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kinds", " , "], "no fault kinds"),
+        (["--kinds", "bogus"], "unknown fault kind(s) bogus"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--batch", "0"], "batch_size must be >= 1"),
+        (["--max-attempts", "0"], "max_attempts must be >= 1"),
+        (["--max-attempts", "1", "--kinds", "seu"], "seu trials need max_attempts >= 2"),
+    ],
+    ids=[
+        "empty-kinds", "unknown-kind", "zero-trials", "zero-batch",
+        "zero-attempts", "seu-without-retry",
+    ],
+)
+def test_faults_rejects_bad_input_before_calibrating(
+    monkeypatch, capsys, argv, message
+):
+    from repro.faults import montecarlo
+
+    def calibrate_rig(*args, **kwargs):
+        raise AssertionError("bad input reached calibration")
+
+    monkeypatch.setattr(montecarlo, "calibrate_rig", calibrate_rig)
+    assert main(["faults", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvariantError
+from repro.faults.campaign import run_trial
 from repro.faults.heatmap import (
     RAMP,
     UNSAMPLED,
@@ -35,7 +36,6 @@ from repro.faults.montecarlo import (
     run_mc_campaign,
     trials_from_batch,
 )
-from repro.faults.plan import FaultPlan, armed, derive_rng_seed
 from repro.faults.sampling import (
     DEFAULT_MC_KINDS,
     REGION_ALL,
@@ -208,38 +208,29 @@ def test_scrub_repair_cost_is_position_independent(rig):
         assert report.elapsed_ps == rig.model.scrub_repair_ps
 
 
-def test_inload_and_retry_costs_are_strike_independent(rig):
-    # The in-load catch, CRC retry and fallback timelines are charged as
-    # constants; re-derive each with a different plan seed (different
-    # strike coordinates) and compare against the model.
-    system, manager = build_rig64()
-    plan = FaultPlan(
-        derive_rng_seed(99, "probe:post-commit") & 0x7FFFFFFF,
-        post_commit_upsets={0},
-    )
-    with armed(system, plan):
-        inload = manager.load_robust("brightness", max_attempts=3)
-    assert inload.elapsed_ps == rig.model.inload_ps
-
-    system, manager = build_rig64()
-    plan = FaultPlan(
-        derive_rng_seed(99, "probe:seu") & 0x7FFFFFFF, seu_feeds={0}
-    )
-    with armed(system, plan):
-        seu = manager.load_robust("brightness", max_attempts=3)
-    assert seu.attempts == 2
-    assert seu.elapsed_ps == rig.model.seu_retry_ps
-
-    system, manager = build_rig64()
-    manager.register_software("brightness", "sw:brightness")
-    plan = FaultPlan(
-        derive_rng_seed(99, "probe:fallback") & 0x7FFFFFFF,
-        commit_faults={0, 1, 2},
-    )
-    with armed(system, plan):
-        fell = manager.load_robust("brightness", max_attempts=3)
-    assert fell.fallback
-    assert fell.elapsed_ps == rig.model.fallback_ps
+@pytest.mark.parametrize(
+    "kind, constant",
+    [
+        ("seu", "seu_retry_ps"),
+        ("commit", "commit_retry_ps"),
+        ("upset", "inload_ps"),
+        ("fallback", "fallback_ps"),
+        ("upset-scrub", "scrub_repair_ps"),
+    ],
+)
+def test_per_trial_simulator_matches_the_model(rig, kind, constant):
+    # The model charges each timeline as a constant.  run_trial simulates
+    # it at campaign seeds, i.e. at strike positions the calibration
+    # never used, and must land on the same figure every time.
+    expected = getattr(rig.model, constant)
+    if kind == "commit":
+        expected = expected[0]
+    for trial in range(2):
+        result = run_trial(kind, trial, 2006, build_rig64, "brightness", 3)
+        assert result.elapsed_ps == expected, (kind, trial)
+        assert result.recovered != (kind == "fallback")
+        if kind == "seu":
+            assert result.attempts == 2
 
 
 def test_calibration_rejects_nonpositive_attempts():
@@ -264,7 +255,7 @@ def test_executors_agree_on_the_real_rig(rig):
 def test_executors_stop_early_identically(rig):
     kwargs = dict(
         rig=rig, kinds=("upset", "commit"), trials=6000, seed=2006,
-        batch_size=512, target_half_width=0.05, min_trials=512,
+        batch_size=512, target_half_width=0.05,
     )
     batch = run_mc_campaign(executor="batch", **kwargs)
     reference = run_mc_campaign(executor="reference", **kwargs)

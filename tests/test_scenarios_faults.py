@@ -1,6 +1,10 @@
 """Tests for the fault-campaign scenarios (repro.scenarios.faults)."""
 
-from repro.faults.campaign import DEFAULT_KINDS, run_campaign
+import pytest
+
+from repro.errors import CheckError, InvariantError
+from repro.faults.campaign import DEFAULT_KINDS, run_campaign, run_trial
+from repro.scenarios import faults as fault_scenarios
 from repro.scenarios.registry import get_scenario, run_scenario
 from repro.scenarios.rigs import build_rig64
 
@@ -36,6 +40,21 @@ def test_campaign_report_reproduces_from_seed():
     assert first.clean_load_ps == second.clean_load_ps
     third = run_campaign(build_rig64, kinds=("seu", "commit"), trials=1, seed=6)
     assert [t.detail for t in third.trials] != [t.detail for t in first.trials]
+
+
+@pytest.mark.parametrize("name", ["fault_campaign", "mc_campaign"])
+def test_unknown_kinds_fail_before_any_rig_is_built(monkeypatch, name):
+    def build_rig64():
+        raise AssertionError("a rig was built for a bad kind list")
+
+    monkeypatch.setattr(fault_scenarios, "build_rig64", build_rig64)
+    with pytest.raises(CheckError, match="unknown fault kind"):
+        run_scenario(name, {"kinds": "seu,bogus"}, smoke=True)
+
+
+def test_run_trial_rejects_unknown_kinds_with_a_library_error():
+    with pytest.raises(InvariantError, match="bogus"):
+        run_trial("bogus", 0, 2006, build_rig64, "brightness", 3)
 
 
 def test_robust_overhead_scenario():

@@ -6,7 +6,7 @@ Two consumers need the same math: the serve scheduler's latency report
 fault campaigns (recovery-rate and vulnerability-factor estimates with
 95% confidence intervals, plus recovery-time percentiles).  Keeping the
 estimators here means a rate printed by ``repro serve`` and a rate in
-``BENCH_faults.json`` are computed by the same audited code.
+``repro faults --json`` are computed by the same audited code.
 
 Everything is deterministic: percentiles are exact order statistics
 (no interpolation, so integer picosecond inputs yield integer outputs)

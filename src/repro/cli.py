@@ -40,6 +40,7 @@ from .core import (
 from .core.floorplan import render_generic_architecture, render_system_floorplan
 from .core.reconfig import ReconfigManager
 from .engine.trace import TraceRecorder
+from .errors import ReproError
 from .fabric.device import DEVICES
 from .reporting import format_table
 
@@ -305,7 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # Bad input surfaces as a typed library error: one line, no traceback.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -20,7 +20,6 @@ import json
 import sys
 from typing import List, Optional
 
-from ..errors import CheckError, InvariantError
 from ..reporting import format_table
 from .campaign import parse_kinds
 from .heatmap import empirical_vulnerability, render_heatmap
@@ -55,12 +54,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     from ..scenarios.rigs import build_rig64
 
-    try:
-        kinds = parse_kinds(args.kinds, DEFAULT_MC_KINDS)
-        check_campaign_arguments(kinds, args.trials, args.batch, args.max_attempts)
-    except (CheckError, InvariantError) as exc:
-        print(f"repro faults: {exc}", file=sys.stderr)
-        return 2
+    # Validate before calibrating: calibration runs real simulations.
+    kinds = parse_kinds(args.kinds, DEFAULT_MC_KINDS)
+    check_campaign_arguments(kinds, args.trials, args.batch, args.max_attempts)
     report = run_mc_campaign(
         build_rig64, kinds=kinds, trials=args.trials, seed=args.seed,
         kernel=args.kernel, max_attempts=args.max_attempts,

@@ -652,7 +652,7 @@ class McReport:
         return strikes, criticals
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe report (what ``BENCH_faults.json`` carries)."""
+        """JSON-safe report (what ``repro faults --json`` prints)."""
         space = self.space
         analytic = {
             "vulnerability": space.analytic_vulnerability(),

@@ -2,10 +2,9 @@
 
 Registered like every other scenario (pure, deterministic, cacheable): it
 reports the *simulated* cost and traffic of repeated load/clear cycles on
-the 64-bit system — the workload the host-time benchmark
-``benchmarks/bench_perf_reconfig.py`` times with the vectorized fast path
-on and off.  Keeping the workload definition here means the benchmark, the
-sweep and the equivalence suite all drive the identical cycle sequence.
+the 64-bit system — the load/swap/clear cycle whose complete load the
+host-time benchmark ``benchmarks/bench_perf.py`` times with the vectorized
+fast path on and off.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ def run_reconfig_cycles(manager, cycles: int, kernel: str, alternate: str):
 
     Returns the per-phase :class:`~repro.core.reconfig.ReconfigResult`
     lists ``(loads, differentials, clears)``.  Shared by the scenario below
-    and by the host-time benchmark so both measure the same datapath.
+    and by the fast-path equivalence suite so both drive the same datapath.
     """
     loads, differentials, clears = [], [], []
     for _ in range(cycles):
@@ -90,7 +89,7 @@ def perf_reconfig(cycles: int, kernel: str, alternate: str) -> ScenarioResult:
     )
 
 
-def _checksum(result) -> int:
+def checksum(result) -> int:
     """Order-sensitive digest of a task result (arrays or ints)."""
     if isinstance(result, np.ndarray):
         flat = result.astype(np.uint64).ravel()
@@ -108,7 +107,7 @@ def engine_workload_tasks(system, manager, height: int, width: int):
     Yields ``(task, thunk)`` pairs where each thunk performs the driver
     run; consume in order (each yield follows the matching kernel load).
     Shared by the ``perf_engine_e2e`` scenario and
-    ``benchmarks/bench_perf_sweep.py`` so the host-time floors and the
+    ``benchmarks/bench_perf.py`` so the host-time floors and the
     simulated observables come from the identical datapath — the split
     lets the benchmark put a timer around exactly the driver loop, with
     the reconfiguration loads outside it.
@@ -149,7 +148,7 @@ def perf_engine_e2e(height: int, width: int) -> ScenarioResult:
     for label, (system, manager) in (("32-bit", (system32, manager32)),
                                      ("64-bit", (system64, manager64))):
         for task, run in run_engine_workload(system, manager, height, width):
-            digest = _checksum(run.result)
+            digest = checksum(run.result)
             rows.append([label, task, run.elapsed_ps / 1e6, digest])
             headline[f"{label.replace('-', '')}_{task}_ps"] = run.elapsed_ps
             headline[f"{label.replace('-', '')}_{task}_checksum"] = digest

@@ -53,7 +53,7 @@ def build_serve_inputs(
 ) -> Tuple[CostTable, np.ndarray]:
     """Calibrate a cost table and generate the matching request trace.
 
-    Shared between the scenarios and ``benchmarks/bench_perf_serve.py``
+    Shared between the scenarios and ``benchmarks/bench_perf.py``
     so the bench times exactly the workload the scenarios report on.
     The arrival rate is derived *from the calibrated table* (mean
     hardware cost / target utilization), keeping the service in an

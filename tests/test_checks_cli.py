@@ -16,7 +16,7 @@ import pytest
 
 from repro.checks import all_rules
 from repro.checks.cli import main as checks_main
-from repro.cli import main as repro_main
+from repro.cli import build_parser, main as repro_main
 from repro.core import build_system32, build_system64
 from repro.dock.dma import Descriptor
 from repro.errors import CheckError, InvariantError
@@ -190,8 +190,10 @@ def test_demo_divergence_raises_check_error(monkeypatch):
             )
 
     monkeypatch.setattr("repro.sw.SwBrightness", LyingSoftware)
+    # The command itself, below the CLI boundary that maps errors to exit 2.
+    args = build_parser().parse_args(["demo", "--no-drc"])
     with pytest.raises(CheckError, match="diverges"):
-        repro_main(["demo", "--no-drc"])
+        args.func(args)
 
 
 # -- dependency pass (--deps) -------------------------------------------------

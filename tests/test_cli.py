@@ -168,3 +168,26 @@ def test_faults_rejects_bad_input_before_calibrating(
     assert main(["faults", *argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "run", "nosuch"],
+        ["sweep", "run", "table02_transfers32", "--set", "table02_transfers32:bogus=1"],
+        ["serve", "--requests", "0"],
+        ["serve", "--epoch-ms", "0"],
+        ["serve", "--target-util", "0"],
+        ["dse", "--generations", "0"],
+        ["dse", "--population", "1"],
+    ],
+    ids=[
+        "unknown-scenario", "unknown-param", "zero-requests", "zero-epoch",
+        "zero-util", "zero-generations", "tiny-population",
+    ],
+)
+def test_library_errors_exit_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

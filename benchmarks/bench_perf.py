@@ -7,7 +7,8 @@ simulated observable:
 * **transfer** -- DMA interleaved sequences on the 64-bit system
   (vectorized bursts vs the per-beat bus);
 * **reconfig** -- a complete bitstream load on the 64-bit rig (vectorized
-  ICAP datapath vs word-by-word);
+  ICAP datapath vs word-by-word), and a robust load plus a scrub after an
+  upset (compiled ICAP readback scans vs frame-by-frame readback);
 * **engine** -- the ``perf_engine_e2e`` PIO driver loops on both rigs
   (steady-state compiler vs the event-by-event interpreter);
 * **serve** -- the 1M-request Poisson headline trace (vectorized scheduler
@@ -40,6 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.core import TransferBench, build_system64  # noqa: E402
 from repro.engine import fastpath  # noqa: E402
 from repro.errors import CheckError  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
 from repro.faults.montecarlo import calibrate_rig, require_equivalent, run_mc_campaign  # noqa: E402
 from repro.faults.sampling import DEFAULT_MC_KINDS  # noqa: E402
 from repro.scenarios.perf import checksum, engine_workload_tasks  # noqa: E402
@@ -58,6 +60,7 @@ FLOORS = {
     "transfer/table8_interleaved_8192": 5.0,
     "transfer/table8_interleaved_32768": 5.0,
     "reconfig/complete_load": 10.0,
+    "reconfig/robust_scan": 10.0,
     "engine/system32/brightness": 10.0,
     "engine/system32/fade": 10.0,
     "engine/system64/brightness": 10.0,
@@ -161,6 +164,32 @@ def reconfig_rows(path):
         }
 
 
+def robust_scan_rows(path):
+    """``load_robust`` plus a ``scrub`` after one upset, both timed."""
+    with path():
+        system, manager = build_rig64()
+        plan = FaultPlan(SEED, upset_flips=3)
+
+        def scans():
+            result = manager.load_robust("brightness")
+            plan.upset_now(system.config_memory)
+            return result, manager.scrub()
+
+        (result, report), seconds = timed(scans)
+        icap = system.hwicap
+        return {"reconfig/robust_scan": seconds}, {
+            "now_ps": system.cpu.now_ps,
+            "result": result,
+            "report": report,
+            "stats": {
+                part.stats.name: part.stats.snapshot()
+                for part in (system.cpu, system.plb, system.opb, icap)
+            },
+            "memory_reads": system.config_memory.reads,
+            "frames_read_back": icap.frames_read_back,
+        }
+
+
 def engine_rows(path):
     seconds, observables = {}, {}
     with path():
@@ -203,7 +232,7 @@ def faults_rows(rig, executor):
 
 def run(check: bool) -> int:
     bench = Bench()
-    for workload in (transfer_rows, reconfig_rows, engine_rows):
+    for workload in (transfer_rows, reconfig_rows, robust_scan_rows, engine_rows):
         bench.compare(workload, fastpath.forced_on, fastpath.disabled)
 
     table, trace = build_serve_inputs(SERVE_REQUESTS, SEED, "poisson", 0.7)

@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..errors import run_command
 from .diagnostics import CheckReport, all_rules
 from .drc_system import check_system
 from .lint import lint_package, lint_paths, package_root
@@ -156,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return run(build_parser().parse_args(argv))
+    parser = build_parser()
+    return run_command(parser.prog, run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

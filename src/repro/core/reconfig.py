@@ -39,13 +39,22 @@ from ..bitstream.bitlinker import Placement
 from ..bitstream.bitstream import Bitstream, BitstreamKind
 from ..bitstream.generator import verify_preserves_static
 from ..dock.interface import StreamingKernel
-from ..errors import FabricError, KernelError, ReconfigurationError, ResourceError
+from ..engine.batch import declare_phases, run_steady
+from ..errors import (
+    BitstreamError, FabricError, KernelError, ReconfigurationError, ResourceError,
+)
 from ..fabric.config_memory import ConfigMemory
 from ..fabric.frames import FrameAddress
 from ..kernels.base import BaseKernel
 from ..sw.costmodel import charge_word_reads
 from . import memmap
 from .system import System
+
+#: Batchable-phase name of the ICAP readback scan (see
+#: :meth:`ReconfigManager._readback_mismatches`).  Every manager declares
+#: it on its system: the scan's body is the same four MMIO accesses per
+#: frame whatever kernel is registered, so it is steady by construction.
+PHASE_READBACK = "icap-readback"
 
 
 @dataclass
@@ -103,6 +112,7 @@ class ReconfigManager:
         self.region = slot.region if slot is not None else system.region
         self.dock = slot.dock if slot is not None else system.dock
         self.bitlinker = slot.bitlinker if slot is not None else system.bitlinker
+        declare_phases(system, PHASE_READBACK)
         self._library: Dict[str, Tuple[BaseKernel, object]] = {}
         self._software: Dict[str, object] = {}
         self.active: Optional[str] = None
@@ -406,14 +416,12 @@ class ReconfigManager:
             )
         cpu = self.system.cpu
         start = cpu.now_ps
-        repair: List[Tuple[FrameAddress, np.ndarray]] = []
-        checked = 0
-        for address in ref:
-            expected = np.asarray(ref[address], dtype=np.uint32)
-            data = self._readback_frame(address)
-            checked += 1
-            if not np.array_equal(data, expected):
-                repair.append((address, expected))
+        addresses = list(ref)
+        expected = [np.asarray(ref[address], dtype=np.uint32) for address in addresses]
+        repair = [
+            (addresses[index], expected[index])
+            for index in self._readback_mismatches(addresses, expected)
+        ]
         if repair:
             stream = Bitstream(
                 device_name=self.system.device.name,
@@ -423,7 +431,7 @@ class ReconfigManager:
             )
             self._feed_through_icap(stream)
         return ScrubReport(
-            frames_checked=checked,
+            frames_checked=len(addresses),
             frames_repaired=len(repair),
             repaired=[address for address, _ in repair],
             elapsed_ps=cpu.now_ps - start,
@@ -514,15 +522,52 @@ class ReconfigManager:
             indices: Sequence[int] = only
         else:
             indices = self._sample_indices(len(frames), samples)
+        mismatches = self._readback_mismatches(
+            [frames[index][0] for index in indices],
+            [frames[index][1] for index in indices],
+        )
+        return [indices[i] for i in mismatches], len(indices)
+
+    def _readback_mismatches(
+        self, addresses: Sequence[FrameAddress], expected: Sequence[np.ndarray]
+    ) -> List[int]:
+        """Read ``addresses`` back through the ICAP; indices unlike ``expected``.
+
+        Every frame costs the same FAR/CONTROL/RDATA accesses whatever it
+        holds, so the scan is the declared steady phase
+        :data:`PHASE_READBACK`: :func:`~repro.engine.batch.run_steady`
+        probes a few frames through :meth:`_readback_frame` and charges the
+        rest closed-form, while ``bulk`` fetches their contents with one
+        zero-time HWICAP call and compares them as one block.  Addresses
+        outside the frame catalogue, or expected frames that are not one
+        frame's worth of words each, keep the whole scan interpreted.
+        """
+        icap = self.system.hwicap
+        geometry = self.system.config_memory.geometry
         bad: List[int] = []
-        checked = 0
-        for index in indices:
-            address, expected = frames[index]
-            data = self._readback_frame(address)
-            checked += 1
-            if not np.array_equal(data, np.asarray(expected, dtype=np.uint32)):
-                bad.append(index)
-        return bad, checked
+
+        def step(i: int) -> None:
+            if not np.array_equal(self._readback_frame(addresses[i]), expected[i]):
+                bad.append(i)
+
+        def bulk(start: int, n: int) -> None:
+            stop = start + n
+            differs = (icap.bulk_readback(addresses[start:stop]) != block[start:stop]).any(axis=1)
+            bad.extend(start + int(i) for i in np.flatnonzero(differs))
+
+        try:
+            geometry.frame_rows(addresses)  # BitstreamError: uncatalogued address
+            block = np.asarray(expected, dtype=np.uint32)  # ValueError: ragged frames
+        except (BitstreamError, ValueError):
+            block = None
+        uniform = block is not None and block.shape == (
+            len(addresses), geometry.words_per_frame,
+        )
+        run_steady(
+            self.system, len(addresses), step, bulk if uniform else None,
+            phase=PHASE_READBACK,
+        )
+        return bad
 
     def _scrub_frames(self, bitstream: Bitstream, indices: Sequence[int]) -> None:
         """Rewrite only the given frames of ``bitstream`` through the ICAP."""

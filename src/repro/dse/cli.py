@@ -21,10 +21,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..errors import run_command
 from ..sweep.cache import ResultCache
 from ..sweep.results_io import default_cache_dir
 from .evaluate import Evaluator
-from .evolve import evolve
+from .evolve import check_search_arguments, evolve
 from .factorial import star_design
 from .report import DSE_REPORT_FILENAME, build_report, render_text, write_report
 from .space import default_space
@@ -61,6 +62,8 @@ def run(args: argparse.Namespace) -> int:
     space = default_space()
     generations = args.generations if args.generations is not None else (2 if args.smoke else 4)
     population = args.population if args.population is not None else (8 if args.smoke else 12)
+    if args.mode in ("evolve", "both"):
+        check_search_arguments(generations, population)
 
     cache = None
     rig_cache_dir = None
@@ -134,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return run(build_parser().parse_args(argv))
+    parser = build_parser()
+    return run_command(parser.prog, run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

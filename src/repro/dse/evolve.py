@@ -107,6 +107,15 @@ def _tournament(
     return i if key_i <= key_j else j
 
 
+def check_search_arguments(generations: int, population: int) -> None:
+    """Raise :class:`InvariantError` for a search :func:`evolve` cannot run
+    (callers check before paying for any evaluation)."""
+    if generations < 1:
+        raise InvariantError(f"generations must be >= 1, got {generations}")
+    if population < 4:
+        raise InvariantError(f"population must be >= 4, got {population}")
+
+
 def evolve(
     space: PlatformSpace,
     evaluator: Evaluator,
@@ -122,11 +131,7 @@ def evolve(
     initial population, so a combined factorial+evolve exploration warm
     starts from already-cached evaluations.
     """
-    if generations < 1:
-        raise InvariantError(f"generations must be >= 1, got {generations}")
-    if population < 4:
-        raise InvariantError(f"population must be >= 4, got {population}")
-
+    check_search_arguments(generations, population)
     result = SearchResult(seed=seed)
 
     # -- generation 0: baseline + seeds + random legal points ---------------

@@ -45,10 +45,11 @@ themselves, matching the per-word reference exactly).  A ``bulk``
 callback must therefore never touch engine state — LINT008 flags
 violations (see ``docs/CHECKS.md``).
 
-Phases are **declared, not guessed**: scenarios/rigs opt loops in with
-:func:`declare_phases`, and :func:`run_steady` compiles only phases whose
-name was declared on the target system.  Undeclared loops simply run the
-reference path.
+Phases are **declared, not guessed**: scenarios/rigs opt the PIO driver
+loops in with :func:`declare_phases`, every
+:class:`~repro.core.reconfig.ReconfigManager` declares its ICAP readback
+scan, and :func:`run_steady` compiles only phases whose name was declared
+on the target system.  Undeclared loops simply run the reference path.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ layout (simulation engine, fabric/bitstream toolchain, bus/system runtime).
 
 from __future__ import annotations
 
+import sys
+from typing import Any, Callable
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -90,3 +93,17 @@ class KernelError(ReproError):
 
 class TransferError(ReproError):
     """Invalid data-transfer request between CPU/memory and dynamic area."""
+
+
+def run_command(prog: str, command: Callable[[Any], int], args: Any) -> int:
+    """Run one CLI command body and return its exit status.
+
+    Bad input surfaces as a typed library error, so a :class:`ReproError`
+    becomes exit status 2 and the one stderr line ``<prog>: <message>``,
+    with no traceback.  Every ``repro`` entry point goes through here.
+    """
+    try:
+        return command(args)
+    except ReproError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return 2

@@ -21,7 +21,7 @@ reference: same frames, same counters, same errors, same simulated time.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,6 +158,25 @@ class OpbHwIcap:
     def readback_frame(self, address: FrameAddress):
         """Zero-time functional readback (testbench convenience)."""
         return self.config_memory.read_frame(address)
+
+    def bulk_readback(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
+        """Zero-time functional effect of reading ``addresses`` back in turn.
+
+        Returns their stacked frames (one configuration-memory read each)
+        and leaves the controller as a FAR/CONTROL/RDATA-until-empty loop
+        over them would: FAR latched to the last address,
+        ``frames_read_back`` advanced, readback FIFO empty.  Raises
+        :class:`BitstreamError` for addresses outside the frame catalogue.
+        The bus time and statistics of those reads are charged by the
+        caller (see :func:`repro.engine.batch.run_steady`).
+        """
+        frames = self.config_memory.rows_for(addresses)
+        if len(addresses):
+            self._far = addresses[-1].packed() & 0xFFFFFFFF
+        self.frames_read_back += len(addresses)
+        self._rb = _EMPTY_WORDS
+        self._rb_pos = 0
+        return frames
 
     # -- ICAP core -----------------------------------------------------------
     def _reserve(self, count: int) -> None:

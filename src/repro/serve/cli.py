@@ -22,6 +22,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..errors import run_command
 from ..reporting import format_table
 from ..scenarios.registry import derive_seed
 from ..scenarios.rigs import build_rig64
@@ -149,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return run(build_parser().parse_args(argv))
+    parser = build_parser()
+    return run_command(parser.prog, run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..scenarios import all_scenarios, get_scenario
+from ..errors import CheckError, run_command
+from ..scenarios import ScenarioError, all_scenarios, get_scenario
 from .cache import ResultCache
 from .report import render_report, write_report
 from .results_io import (
@@ -107,6 +108,20 @@ def parse_overrides(entries: Optional[List[str]]) -> Optional[dict]:
     return overrides
 
 
+def check_overrides(overrides: Optional[dict]) -> None:
+    """Raise :class:`CheckError` unless each override names a registered
+    scenario and one of its parameters.
+
+    Every override is checked, selected scenario or not: a misspelt
+    ``--set`` must fail, not silently go nowhere.
+    """
+    for name, params in (overrides or {}).items():
+        try:
+            get_scenario(name).resolve_params(params)
+        except ScenarioError as err:
+            raise CheckError(f"--set {name}: {err}") from None
+
+
 def _select(args: argparse.Namespace):
     """Resolve the action and scenario set from positionals + flags."""
     names = list(args.action_or_names)
@@ -128,6 +143,7 @@ def _select(args: argparse.Namespace):
 def run(args: argparse.Namespace) -> int:
     action, selected = _select(args)
     overrides = parse_overrides(getattr(args, "overrides", None))
+    check_overrides(overrides)
 
     if action == "list":
         if args.json:
@@ -246,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return run(build_parser().parse_args(argv))
+    parser = build_parser()
+    return run_command(parser.prog, run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

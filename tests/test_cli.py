@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import main
@@ -170,24 +172,46 @@ def test_faults_rejects_bad_input_before_calibrating(
     assert err.count("\n") == 1 and message in err
 
 
+#: Bad input per ``repro`` subcommand: (test id, argv).
+_BAD_INPUTS = [
+    ("unknown-scenario", ["sweep", "run", "nosuch"]),
+    ("unknown-param",
+     ["sweep", "run", "table02_transfers32", "--set", "table02_transfers32:bogus=1"]),
+    ("unselected-unknown-scenario",
+     ["sweep", "run", "table01_resources32", "--set", "mc_campain:trials=5"]),
+    ("unselected-unknown-param",
+     ["sweep", "run", "table01_resources32", "--set", "mc_campaign:bogus=2"]),
+    ("zero-requests", ["serve", "--requests", "0"]),
+    ("zero-epoch", ["serve", "--epoch-ms", "0"]),
+    ("zero-util", ["serve", "--target-util", "0"]),
+    ("zero-generations", ["dse", "--generations", "0"]),
+    ("tiny-population", ["dse", "--population", "1"]),
+    ("bogus-kind", ["faults", "--kinds", "bogus"]),
+    ("unknown-deps-scenario", ["check", "--deps", "nosuch"]),
+]
+
+#: The module each subcommand also runs as (``python -m <module>``).
+_MODULE_CLIS = {
+    "sweep": "repro.sweep.cli",
+    "serve": "repro.serve.cli",
+    "dse": "repro.dse.cli",
+    "faults": "repro.faults.cli",
+    "check": "repro.checks.cli",
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "run", "nosuch"],
-        ["sweep", "run", "table02_transfers32", "--set", "table02_transfers32:bogus=1"],
-        ["serve", "--requests", "0"],
-        ["serve", "--epoch-ms", "0"],
-        ["serve", "--target-util", "0"],
-        ["dse", "--generations", "0"],
-        ["dse", "--population", "1"],
-    ],
-    ids=[
-        "unknown-scenario", "unknown-param", "zero-requests", "zero-epoch",
-        "zero-util", "zero-generations", "tiny-population",
-    ],
+    "entry, argv",
+    [pytest.param("repro", argv, id=name) for name, argv in _BAD_INPUTS]
+    + [pytest.param("module", argv, id=f"python-m-{name}") for name, argv in _BAD_INPUTS],
 )
-def test_library_errors_exit_2_with_one_line(capsys, argv):
-    assert main(argv) == 2
+def test_library_errors_exit_2_with_one_line(capsys, entry, argv):
+    if entry == "repro":
+        status, prefix = main(argv), f"repro {argv[0]}: "
+    else:
+        cli = importlib.import_module(_MODULE_CLIS[argv[0]])
+        status, prefix = cli.main(argv[1:]), f"{cli.build_parser().prog}: "
+    assert status == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"repro {argv[0]}: ")
+    assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err

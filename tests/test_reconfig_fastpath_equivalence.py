@@ -15,11 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitstream.bitlinker import Placement
 from repro.bitstream.bitstream import Bitstream
-from repro.engine import fastpath
+from repro.engine import batch, fastpath
 from repro.errors import ReconfigurationError
+from repro.faults import FaultPlan, armed
 from repro.scenarios.perf import run_reconfig_cycles
-from repro.scenarios.rigs import build_rig64
+from repro.scenarios.rigs import build_rig32, build_rig64
 
 KERNEL = "brightness"
 ALTERNATE = "lookup2"
@@ -163,8 +165,6 @@ def test_clean_robust_load_identical():
 
 
 def test_faulted_robust_load_identical():
-    from repro.faults import FaultPlan, armed
-
     def observables():
         system, manager = build_rig64()
         plan = FaultPlan(909, seu_feeds={0}, post_commit_upsets={0})
@@ -200,3 +200,70 @@ def test_unarmed_hooks_do_not_change_observables():
 
     fast, slow = _both(observables)
     assert fast == slow
+
+
+# -- compiled readback scans ---------------------------------------------------
+def _readback_observables(system, outcome):
+    """Everything a readback scan can touch, plus the scan's own result.
+
+    The statistics groups are the ones ``run_steady`` watches and charges.
+    """
+    groups = [system.cpu, system.plb, getattr(system, "opb", None),
+              getattr(system, "bridge", None), system.hwicap, system.dock,
+              getattr(system.dock, "dma", None)]
+    return {
+        "outcome": outcome,
+        "now_ps": system.cpu.now_ps,
+        "stats": {g.stats.name: g.stats.snapshot() for g in groups if g is not None},
+        "memory_reads": system.config_memory.reads,
+        "frames_read_back": system.hwicap.frames_read_back,
+        "far": system.hwicap._far,
+    }
+
+
+def _both_compiled(scenario):
+    """``_both`` that also reports the phases the fast side compiled."""
+    before = batch.telemetry().compiled_phases
+    with fastpath.forced_on():
+        fast = scenario()
+    compiled = batch.telemetry().compiled_phases - before
+    with fastpath.disabled():
+        slow = scenario()
+    return fast, slow, compiled
+
+
+@pytest.mark.parametrize("build", [build_rig32, build_rig64], ids=["system32", "system64"])
+def test_robust_load_readback_scan_identical(build):
+    def observables():
+        system, manager = build()
+        # Seed 904 upsets one frame deep in the bitstream, well past the
+        # probe window, so the compiled scan's bulk compare must find it.
+        plan = FaultPlan(904, post_commit_upsets={0})
+        with armed(system, plan):
+            result = manager.load_robust(KERNEL)
+        placement = Placement(manager.component(KERNEL), col_offset=0, row_offset=0)
+        frames = [address for address, _ in manager.bitlinker.link([placement]).frames]
+        detail = plan.injected[-1].detail
+        upset = [i for i, address in enumerate(frames) if detail.startswith(f"{address} ")]
+        return upset, _readback_observables(system, result)
+
+    (fast_upset, fast), (slow_upset, slow), compiled = _both_compiled(observables)
+    assert fast_upset == slow_upset and fast_upset[0] >= batch.MAX_PROBES
+    assert fast["outcome"].scrubbed_frames == 1
+    assert fast == slow
+    assert compiled >= 1  # the full scan; the one-frame recheck interprets
+
+
+@pytest.mark.parametrize("build", [build_rig32, build_rig64], ids=["system32", "system64"])
+def test_scrub_after_upset_identical(build):
+    def observables():
+        system, manager = build()
+        manager.load_robust(KERNEL)
+        FaultPlan(7, upset_flips=3).upset_now(system.config_memory)
+        report = manager.scrub()
+        return _readback_observables(system, report)
+
+    fast, slow, compiled = _both_compiled(observables)
+    assert fast["outcome"].frames_repaired >= 1
+    assert fast == slow
+    assert compiled >= 2  # the load's scan and the scrub's

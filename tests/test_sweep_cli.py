@@ -98,11 +98,16 @@ def test_empty_selection_is_an_error(tmp_path, capsys):
     assert "no scenarios match" in capsys.readouterr().err
 
 
-def test_unknown_scenario_name_raises():
+def test_unknown_scenario_name_raises(capsys):
     from repro.scenarios import ScenarioError
+    from repro.sweep.cli import build_parser, run
 
+    argv = ["run", "definitely_not_registered"]
     with pytest.raises(ScenarioError, match="unknown scenario"):
-        main(["run", "definitely_not_registered"])
+        run(build_parser().parse_args(argv))
+    # The entry point turns the library error into exit 2 and one line.
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("repro sweep: unknown scenario")
 
 
 def test_explain_attributes_misses_then_reports_hits(tmp_path, capsys):

@@ -21,7 +21,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import fastpath
 from ..errors import LinkError, PortMismatchError, ResourceError
 from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
 from ..fabric.frames import FrameAddress, FrameGeometry
@@ -164,43 +163,10 @@ class BitLinker:
                 )
 
     # -- assembly ----------------------------------------------------------
-    def _cleared_baseline_rows(self) -> Optional[np.ndarray]:
-        """Region baseline frames with the region's rows blanked, stacked.
-
-        Fast-path equivalent of calling :func:`region_clear_frame` per
-        frame: one bulk gather from the snapshot, one vectorized mask.
-        Returns ``None`` when the fast path is off or the baseline is not a
-        :class:`ConfigSnapshot` (callers then use the reference loop).
-        """
-        if not (
-            fastpath.enabled()
-            and isinstance(self._baseline, ConfigSnapshot)
-            and self._baseline.geometry.device is self.region.device
-        ):
-            return None
-        mask = self.geometry.row_mask_cached(self.region.rect.row, self.region.rect.row_end)
-        return self._baseline.rows_for(self.region.frame_addresses) & ~mask
-
     def _assemble_frames(
         self, placements: Sequence[Placement]
     ) -> List[Tuple[FrameAddress, np.ndarray]]:
         frames: List[Tuple[FrameAddress, np.ndarray]] = []
-        cleared = self._cleared_baseline_rows()
-        if cleared is not None:
-            for index, address in enumerate(self.region.frame_addresses):
-                frame = cleared[index]
-                for placement in placements:
-                    frame = placement_frame_content(
-                        self.geometry,
-                        self.region,
-                        placement.component,
-                        placement.col_offset,
-                        placement.row_offset,
-                        address,
-                        frame,
-                    )
-                frames.append((address, frame))
-            return frames
         empty = self.geometry.empty_frame()
         for address in self.region.frame_addresses:
             baseline = self._baseline.get(address, empty)
@@ -246,19 +212,11 @@ class BitLinker:
         bitstream is applied — the hazard the paper describes.
         """
         complete = self.link(placements, description)
-        frames: List[Tuple[FrameAddress, np.ndarray]] = []
-        fast_ok = fastpath.enabled() and complete.frames
-        if fast_ok:
-            # One bulk gather + one row comparison; rows_for mirrors the
-            # per-frame read counter the reference loop advances.
-            current_rows = current.rows_for([address for address, _ in complete.frames])
-            linked_rows = np.stack([data for _, data in complete.frames])
-            for index in np.flatnonzero((current_rows != linked_rows).any(axis=1)):
-                frames.append(complete.frames[index])
-        else:
-            for address, data in complete.frames:
-                if not np.array_equal(current.read_frame(address), data):
-                    frames.append((address, data))
+        frames = [
+            (address, data)
+            for address, data in complete.frames
+            if not np.array_equal(current.read_frame(address), data)
+        ]
         bitstream = Bitstream(
             device_name=self.region.device.name,
             kind=BitstreamKind.PARTIAL_DIFFERENTIAL,
@@ -275,18 +233,9 @@ class BitLinker:
 
         Restores the post-boot state (static rows intact, region rows zero).
         """
-        frames: List[Tuple[FrameAddress, np.ndarray]] = []
-        cleared = self._cleared_baseline_rows()
-        if cleared is not None:
-            frames = list(zip(self.region.frame_addresses, cleared))
-        else:
-            empty = self.geometry.empty_frame()
-            for address in self.region.frame_addresses:
-                baseline = self._baseline.get(address, empty)
-                frames.append((address, region_clear_frame(self.geometry, self.region, address, baseline)))
         return Bitstream(
             device_name=self.region.device.name,
             kind=BitstreamKind.PARTIAL_COMPLETE,
-            frames=frames,
+            frames=self._assemble_frames(()),
             description=description,
         )

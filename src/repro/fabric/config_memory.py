@@ -71,16 +71,6 @@ class ConfigSnapshot(MappingABC):
     def __len__(self) -> int:
         return int(self._written.sum()) + len(self._extra)
 
-    # -- bulk access (fast paths) ----------------------------------------
-    def rows_for(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
-        """Stacked ``(len(addresses), words_per_frame)`` copy of frames.
-
-        Unwritten frames come back as zeros, matching ``get(addr, empty)``
-        over the mapping interface.
-        """
-        rows = self.geometry.frame_rows(addresses)
-        return self._data[rows]
-
 
 class ConfigMemory:
     """Frame-addressed configuration store for one device."""

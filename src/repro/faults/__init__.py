@@ -11,7 +11,6 @@ from .montecarlo import (
     classify_batch,
     classify_reference,
     run_mc_campaign,
-    trials_from_batch,
 )
 from .plan import FaultPlan, InjectedFault, arm, armed, disarm, payload_word_indices
 from .sampling import (
@@ -52,5 +51,4 @@ __all__ = [
     "run_mc_campaign",
     "sample_fault_load",
     "sample_fault_loads",
-    "trials_from_batch",
 ]

@@ -4,8 +4,8 @@ PR 5's campaign rebuilds and re-simulates one full system per trial —
 honest, but ~0.3 s/trial puts 10⁵ trials at a day of host time.  This
 module applies the fast-path treatment the datapaths got, with the same
 contract: a scalar per-trial *reference executor* defines the
-semantics, a batched NumPy executor must reproduce its ``TrialResult``
-stream byte-for-byte, and both consume one shared, seeded
+semantics, a batched NumPy executor must reproduce its per-trial
+columns (:class:`TrialBatch`) exactly, and both consume one shared, seeded
 :class:`~repro.faults.sampling.FaultLoad`.
 
 The batched trick is *calibrated closed-form charging*.  Each trial
@@ -51,7 +51,7 @@ import numpy as np
 from ..analysis.stats import percentiles_ps, wilson_half_width, wilson_interval
 from ..bitstream.bitlinker import Placement
 from ..errors import CheckError, InvariantError
-from .campaign import TrialResult, armed_robust_load, plan_seed
+from .campaign import armed_robust_load, plan_seed
 from .sampling import (
     DEFAULT_MC_KINDS,
     REGION_ALL,
@@ -256,20 +256,20 @@ class TrialBatch:
         return int(self.outcome.size)
 
 
+#: The per-trial columns of a :class:`TrialBatch`, in field order.
+TRIAL_COLUMNS: Tuple[str, ...] = (
+    "outcome", "recovered", "fallback", "attempts", "scrubbed", "faults",
+    "elapsed_ps", "region",
+)
+
+
 def _merge_batches(kind: str, parts: Sequence[TrialBatch]) -> TrialBatch:
     if len(parts) == 1:
         return parts[0]
     return TrialBatch(
         kind=kind,
         start=parts[0].start,
-        outcome=np.concatenate([p.outcome for p in parts]),
-        recovered=np.concatenate([p.recovered for p in parts]),
-        fallback=np.concatenate([p.fallback for p in parts]),
-        attempts=np.concatenate([p.attempts for p in parts]),
-        scrubbed=np.concatenate([p.scrubbed for p in parts]),
-        faults=np.concatenate([p.faults for p in parts]),
-        elapsed_ps=np.concatenate([p.elapsed_ps for p in parts]),
-        region=np.concatenate([p.region for p in parts]),
+        **{c: np.concatenate([getattr(p, c) for p in parts]) for c in TRIAL_COLUMNS},
     )
 
 
@@ -452,53 +452,6 @@ EXECUTORS: Tuple[str, ...] = ("batch", "reference", "both")
 EARLY_STOP_MIN_TRIALS = 512
 
 
-def _strike_detail(space: FaultSpace, load: FaultLoad, i: int, region: int) -> str:
-    """Human-readable strike coordinates (shared by both executors)."""
-    if load.kind in ("upset", "post-commit"):
-        return (
-            f"row {int(load.rows[i])} word {int(load.words[i])} "
-            f"bit {int(load.bits[i])} [{REGION_LABELS[region]}]"
-        )
-    if load.kind == "seu":
-        pos = int(load.stream_pos[i])
-        return (
-            f"stream word {int(space.payload_indices[pos])} "
-            f"bit {int(load.bits[i])}"
-        )
-    return f"{int(load.fail_counts[i])} forced commit failure(s)"
-
-
-def trials_from_batch(
-    space: FaultSpace, load: FaultLoad, batch: TrialBatch
-) -> List[TrialResult]:
-    """Materialize a batch's columns as the PR 5 ``TrialResult`` stream.
-
-    The semantic fields come straight from the batch columns, so
-    comparing materialized streams compares the executors' decisions;
-    the detail string is presentation-only and shared by construction.
-    """
-    results: List[TrialResult] = []
-    for j in range(batch.trials):
-        i = batch.start + j
-        region = int(batch.region[j])
-        results.append(
-            TrialResult(
-                kind=load.kind,
-                trial=i,
-                seed=load.seed,
-                recovered=bool(batch.recovered[j]),
-                fallback=bool(batch.fallback[j]),
-                attempts=int(batch.attempts[j]),
-                scrubbed_frames=int(batch.scrubbed[j]),
-                faults_delivered=int(batch.faults[j]),
-                elapsed_ps=int(batch.elapsed_ps[j]),
-                detail=_strike_detail(space, load, i, region),
-                outcome=OUTCOMES[int(batch.outcome[j])],
-            )
-        )
-    return results
-
-
 def _monitored_proportions(batch: TrialBatch) -> List[Tuple[int, int]]:
     """(successes, trials) pairs the early-stopping rule watches.
 
@@ -543,16 +496,6 @@ class McReport:
     @property
     def total_trials(self) -> int:
         return sum(batch.trials for batch in self.batches.values())
-
-    def trial_results(self, kind: Optional[str] = None) -> List[TrialResult]:
-        """The campaign's flat ``TrialResult`` stream (equivalence key)."""
-        selected = (kind,) if kind is not None else self.kinds
-        results: List[TrialResult] = []
-        for name in selected:
-            results.extend(
-                trials_from_batch(self.space, self.loads[name], self.batches[name])
-            )
-        return results
 
     def kind_summary(self) -> List[Dict[str, object]]:
         """Per-kind recovery/fallback rates with Wilson 95% intervals."""
@@ -697,15 +640,28 @@ def check_campaign_arguments(
 
 
 def require_equivalent(batch: McReport, reference: McReport) -> None:
-    """The fast-path contract: one fault load, one ``TrialResult`` stream.
+    """The fast-path contract: one fault load, identical trial columns.
 
-    Raises :class:`~repro.errors.CheckError` unless the batched
-    campaign's trial stream and report equal the per-trial reference's.
+    Raises :class:`~repro.errors.CheckError` naming the kind, the first
+    divergent trial and its column unless every kind's batched columns
+    and the whole report equal the per-trial reference's.
     """
-    if batch.trial_results() != reference.trial_results():
-        raise CheckError(
-            "batched executor diverged from the per-trial reference stream"
-        )
+    if batch.kinds != reference.kinds:
+        raise CheckError(f"executors ran different kinds: {batch.kinds} vs {reference.kinds}")
+    for kind in batch.kinds:
+        ours, theirs = batch.batches[kind], reference.batches[kind]
+        if (ours.start, ours.trials) != (theirs.start, theirs.trials):
+            raise CheckError(
+                f"{kind}: batched executor ran trials {ours.start}+{ours.trials}, "
+                f"the reference {theirs.start}+{theirs.trials}"
+            )
+        for column in TRIAL_COLUMNS:
+            differ = np.flatnonzero(getattr(ours, column) != getattr(theirs, column))
+            if differ.size:
+                raise CheckError(
+                    f"{kind}: batched executor diverged from the per-trial reference "
+                    f"at trial {ours.start + int(differ[0])}, column {column!r}"
+                )
     if batch.to_dict() != reference.to_dict():
         raise CheckError(
             "batched report diverged from the per-trial reference report"

@@ -1,13 +1,15 @@
 """Scenario registry: the paper's evaluation as named, pure functions.
 
 Importing this package registers every table, ablation and figure
-scenario.  Consumers:
+scenario.  Each scenario checks the paper's claims for its table,
+ablation or figure on the rows it produces, so every run gates them.
+Consumers:
 
-* the pytest benches under ``benchmarks/`` — thin wrappers that run one
-  scenario each and assert the paper's shape claims on its rows;
 * the sweep orchestrator (:mod:`repro.sweep`) — fans the registry out
   over a process pool with content-addressed result caching;
-* ``repro sweep list/run`` on the command line.
+* ``repro sweep list/run`` on the command line;
+* ``tests/test_scenarios_registry.py``, which runs every scenario at
+  smoke size.
 """
 
 from .registry import (

@@ -135,8 +135,8 @@ def mc_campaign(
 ) -> ScenarioResult:
     kind_tuple = parse_kinds(kinds, DEFAULT_MC_KINDS)
     # The fast-path contract, enforced where the numbers are made: the
-    # per-trial reference executor must emit the identical TrialResult
-    # stream and report from the same fault load, or this raises.
+    # per-trial reference executor must emit identical trial columns and
+    # report from the same fault load, or this raises.
     report = run_mc_campaign(
         build_rig64, kinds=kind_tuple, trials=trials, seed=seed,
         kernel=kernel, max_attempts=max_attempts, batch_size=batch_size,

@@ -2,17 +2,18 @@
 
 Every table and ablation of the paper's evaluation is registered here as
 a **scenario**: a pure function ``params -> ScenarioResult`` with a
-stable name, tags, and explicit default parameters.  The pytest benches
-are thin wrappers over this registry, and the sweep orchestrator
-(:mod:`repro.sweep`) fans the same registry out over a process pool.
+stable name, tags, and explicit default parameters.  Each scenario body
+also checks the paper's claims for its table, ablation or figure, and
+the sweep orchestrator (:mod:`repro.sweep`) fans the registry out over
+a process pool.
 
 Purity contract (enforced by LINT006 in :mod:`repro.checks.lint`):
 
 * no wall-clock reads — simulated picoseconds are the only clock;
 * no module-level mutable state — a scenario builds everything it
   touches, so runs are order- and process-independent;
-* all randomness flows from explicit integer parameters (defaults match
-  the paper benches), so identical inputs give byte-identical results.
+* all randomness flows from explicit integer parameters (defaults are
+  the paper's seeds), so identical inputs give byte-identical results.
 
 That contract is what makes the content-addressed result cache sound:
 a scenario's output is fully determined by (source fingerprint, params,
@@ -45,7 +46,7 @@ class Scenario:
     fn: ScenarioFn
     title: str = ""
     tags: Tuple[str, ...] = ()
-    #: Full-fidelity defaults — byte-identical to the paper benches.
+    #: Full-size defaults, the sizes and seeds EXPERIMENTS.md reports.
     params: Mapping[str, object] = field(default_factory=dict)
     #: Overrides applied by ``--smoke`` for a quick, cheap pass.
     smoke_params: Mapping[str, object] = field(default_factory=dict)

@@ -2,7 +2,7 @@
 
 A :class:`ScenarioResult` is the *entire* observable outcome of one
 scenario run: the paper-style table (title/headers/rows), the headline
-simulated numbers the pytest wrappers assert on, aggregate
+simulated numbers the scenario's claims are written over, aggregate
 :class:`~repro.engine.stats.StatsGroup` snapshots, and optional rendered
 text (the figure scenarios).  Everything is canonicalised to plain JSON
 types on construction, so a result that travelled through the sweep
@@ -51,7 +51,7 @@ class ScenarioResult:
     title: str = ""
     headers: List[str] = field(default_factory=list)
     rows: List[List[object]] = field(default_factory=list)
-    #: Named simulated quantities the wrapping tests assert on
+    #: Named simulated quantities reported next to the table
     #: (e.g. ``{"pio_write_ns": 812.5}``).  Values are scalars or strings.
     headline: Dict[str, object] = field(default_factory=dict)
     #: ``StatsGroup.snapshot()`` dicts keyed by group name.
@@ -135,7 +135,7 @@ def system_stats(system) -> Dict[str, Dict[str, object]]:
 
 
 def require(condition: bool, message: str) -> None:
-    """Scenario-internal equivalence check.
+    """Scenario-internal equivalence or paper-claim check.
 
     Scenario bodies live in library code, where bare ``assert`` is banned
     (LINT003) — they vanish under ``python -O``.  Failed checks raise

@@ -1,7 +1,6 @@
 """System rigs shared by the table and ablation scenarios.
 
-Mirrors what the benchmark ``conftest.py`` fixtures used to assemble:
-a freshly built system plus a :class:`~repro.core.reconfig.ReconfigManager`
+Each rig is a freshly built system plus a :class:`~repro.core.reconfig.ReconfigManager`
 with the paper's five (or six) kernels registered.  Scenarios build their
 rigs from scratch on every run — no module-level state — so results are
 independent of execution order and of which process ran them.

@@ -1,12 +1,12 @@
 """Table scenarios — the paper's twelve numbered tables as pure functions.
 
-Extracted from ``benchmarks/bench_table*.py``; the benches are now thin
-wrappers that run these through the registry.  Each function builds its
-own rig, runs the simulation, cross-checks hardware results against the
-software reference (raising :class:`~repro.errors.CheckError` on any
-divergence) and returns a :class:`ScenarioResult` whose rows are exactly
-the rows the benches used to build — the sweep cache and the serial
-pytest path therefore produce byte-identical simulated numbers.
+Each function builds its own rig, runs the simulation, cross-checks
+hardware results against the software reference and returns a
+:class:`ScenarioResult`.  Each body ends by checking the paper's
+qualitative claim for its table (who wins, by roughly what factor) on
+the rows it just produced; a divergence or a broken claim raises
+:class:`~repro.errors.CheckError`, which fails the scenario in every
+sweep.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from ..core.apps import (
     HwSha1,
 )
 from ..core.reconfig import ReconfigManager
+from ..dock.opb_dock import OpbDock
+from ..dock.plb_dock import PlbDock
 from ..errors import ResourceError
 from ..kernels import Sha1Kernel
 from ..sw import (
@@ -65,6 +67,15 @@ def _resource_rows(system, region_note: str, device_note: str):
     return rows
 
 
+def _require_static_fits(system, table: str) -> None:
+    """Both designs leave the dynamic region free on their device."""
+    static = system.static_resources()
+    require(
+        static.fits_within(system.device.capacity - system.region.resources),
+        f"{table}: the static system must fit beside the dynamic region",
+    )
+
+
 @scenario(
     "table01_resources32",
     title="Table 1: Resource usage (32-bit system)",
@@ -74,6 +85,17 @@ def table01_resources32() -> ScenarioResult:
     system, _ = build_rig32()
     rows = _resource_rows(system, "28x11 CLBs, 25.0%", "speed grade -6")
     static = system.static_resources()
+    region = system.region.resources
+    _require_static_fits(system, "Table 1")
+    require(
+        static.slices + region.slices <= system.device.capacity.slices,
+        "Table 1: static plus dynamic slices must fit the XC2VP7",
+    )
+    require(
+        (region.slices, region.bram_blocks) == (1232, 6),
+        f"Table 1: the 28x11 dynamic area holds 1232 slices and 6 BRAMs, "
+        f"got {region.slices} and {region.bram_blocks}",
+    )
     return ScenarioResult(
         name="table01_resources32",
         title="Table 1: Resource usage (32-bit system)",
@@ -104,6 +126,20 @@ def table02_transfers32(lengths: Sequence[int]) -> ScenarioResult:
         r = bench.pio_read_sequence(n)
         wr = bench.pio_interleaved_sequence(n)
         rows.append([n, w.per_transfer_ns, r.per_transfer_ns, wr.per_transfer_ns])
+    # Shape: all sub-microsecond-ish, pair ~ write + read, stable over n.
+    for n, w, r, wr in rows:
+        require(
+            100 < w < 2_000 and 100 < r < 2_000,
+            f"Table 2: write and read must take 100-2000 ns per word (n={n}: {w:.1f}, {r:.1f})",
+        )
+        require(
+            0.7 * (w + r) < wr < 1.3 * (w + r),
+            f"Table 2: a write/read pair must cost about write + read (n={n})",
+        )
+    require(
+        abs(rows[0][1] - rows[-1][1]) / rows[-1][1] < 0.1,
+        "Table 2: per-word write time must stay within 10% over sequence lengths",
+    )
     return ScenarioResult(
         name="table02_transfers32",
         title="Table 2: Transfer times, 32-bit system (CPU-controlled, ns per 32-bit transfer)",
@@ -149,6 +185,11 @@ def table03_patmatch32(image_sizes, pattern_seed: int) -> ScenarioResult:
     system, manager = build_rig32(pattern_seed)
     pattern = binary_pattern(seed=pattern_seed)
     rows = _patmatch_rows(system, manager, pattern, image_sizes, sw_first=False)
+    for row in rows:
+        require(
+            row[-1] > 26,
+            f"Table 3: speedup factors of more than 26 ({row[0]}: {row[-1]:.2f})",
+        )
     return ScenarioResult(
         name="table03_patmatch32",
         title="Table 3: Pattern matching in binary images (32-bit system)",
@@ -182,6 +223,12 @@ def _hash_rows(system, manager, key_lengths):
 def table04_hash32(key_lengths: Sequence[int]) -> ScenarioResult:
     system, manager = build_rig32()
     rows = _hash_rows(system, manager, key_lengths)
+    for row in rows[1:]:  # the smallest key is dominated by per-call overheads
+        require(
+            0.8 < row[-1] < 1.8,
+            f"Table 4: lookup2 speedup must be much more modest than 26x, "
+            f"within 0.8-1.8 ({row[0]} B: {row[-1]:.2f})",
+        )
     return ScenarioResult(
         name="table04_hash32",
         title="Table 4: Results for hash function lookup2 (32-bit system)",
@@ -238,6 +285,18 @@ def table05_image32(height: int, width: int) -> ScenarioResult:
     rows = _image_task_rows(
         system, manager, (HwBrightnessPio, HwBlendPio, HwFadePio), height, width, False
     )
+    speedups = {row[0]: row[-1] for row in rows}
+    brightness = speedups["brightness"]
+    blend = speedups["additive blending"]
+    fade = speedups["fade effect"]
+    require(all(s > 1 for s in speedups.values()), "Table 5: every hardware task must win")
+    require(brightness > 1.5, f"Table 5: brightness speedup must exceed 1.5 ({brightness:.2f})")
+    # The two-source tasks win less; blend, the simpler one, benefits least.
+    require(
+        blend < fade <= brightness * 1.05 and blend < brightness,
+        f"Table 5: expected blend < fade <= 1.05 x brightness and blend < brightness "
+        f"({blend:.2f}, {fade:.2f}, {brightness:.2f})",
+    )
     return ScenarioResult(
         name="table05_image32",
         title=f"Table 5: Speedups for simple image processing tasks (32-bit, {height}x{width})",
@@ -256,6 +315,19 @@ def table06_resources64() -> ScenarioResult:
     system, _ = build_rig64()
     rows = _resource_rows(system, "32x24 CLBs, 22.4%", "speed grade -7")
     static = system.static_resources()
+    region = system.region.resources
+    _require_static_fits(system, "Table 6")
+    # DMA controller + output FIFO + interrupt generator.
+    require(
+        PlbDock.RESOURCES.slices > OpbDock.RESOURCES.slices,
+        "Table 6: the PLB Dock must be larger than the OPB Dock",
+    )
+    require(static.slices > 0, "Table 6: the static system must occupy slices")
+    require(
+        (region.slices, region.bram_blocks) == (3072, 22),
+        f"Table 6: the 32x24 dynamic area holds 3072 slices and 22 BRAMs, "
+        f"got {region.slices} and {region.bram_blocks}",
+    )
     return ScenarioResult(
         name="table06_resources64",
         title="Table 6: Resource usage (64-bit system)",
@@ -293,6 +365,11 @@ def table07_transfers64_pio(length: int) -> ScenarioResult:
         t32 = getattr(bench32, method)(length).per_transfer_ns  # repro: noqa CKEY001
         t64 = getattr(bench64, method)(length).per_transfer_ns  # repro: noqa CKEY001
         rows.append([label, t64, t32, t32 / t64])
+    for label, _, _, ratio in rows:
+        require(
+            4.0 <= ratio <= 6.0,
+            f"Table 7: a decrease in transfer time between 4 and 6 times ({label}: {ratio:.2f})",
+        )
     return ScenarioResult(
         name="table07_transfers64_pio",
         title="Table 7: 32-bit CPU-controlled transfers on the 64-bit system "
@@ -320,6 +397,22 @@ def table08_transfers64_dma(lengths: Sequence[int], pio_reference_length: int) -
         wr = bench.dma_interleaved_sequence(n)
         rows.append([n, w.per_transfer_ns, r.per_transfer_ns, wr.per_transfer_ns])
     pio = TransferBench(system).pio_write_sequence(pio_reference_length).per_transfer_ns
+    for n, w, r, wr in rows:
+        # Each DMA transfer moves 64 bits yet is far cheaper than a 32-bit
+        # PIO transfer — the whole reason the PLB Dock grew a DMA engine.
+        require(
+            w < pio / 2,
+            f"Table 8: a 64-bit DMA write must cost under half a 32-bit PIO write "
+            f"(n={n}: {w:.1f} vs {pio:.1f} ns)",
+        )
+        require(
+            wr < 2.5 * (w + r),
+            f"Table 8: block-interleaved must stay under 2.5 x (write + read) (n={n})",
+        )
+    require(
+        rows[-1][1] <= rows[0][1] * 1.05,
+        "Table 8: longer sequences must amortise setup (per-transfer write time must not grow)",
+    )
     return ScenarioResult(
         name="table08_transfers64_dma",
         title="Table 8: DMA-controlled transfers, 64-bit system (ns per 64-bit transfer)",
@@ -347,6 +440,13 @@ def table09_patmatch64(image_sizes, pattern_seed: int) -> ScenarioResult:
     rows64 = _patmatch_rows(system64, manager64, pattern, image_sizes, sw_first=True)
     rows32 = _patmatch_rows(system32, manager32, pattern, image_sizes, sw_first=True)
     merged = [row + [row32[-1]] for row, row32 in zip(rows64, rows32)]
+    for row in merged:
+        s64, s32 = row[-2], row[-1]
+        require(
+            8 < s64 < s32,
+            f"Table 9: the speedup must decrease from the 32-bit system yet stay above 8 "
+            f"({row[0]}: {s64:.2f} vs {s32:.2f})",
+        )
     return ScenarioResult(
         name="table09_patmatch64",
         title="Table 9: Pattern matching in binary images (64-bit system)",
@@ -369,6 +469,13 @@ def table10_hash64(key_lengths: Sequence[int]) -> ScenarioResult:
     rows64 = _hash_rows(system64, manager64, key_lengths)
     rows32 = _hash_rows(system32, manager32, key_lengths)
     merged = [r64 + [r32[-1]] for r64, r32 in zip(rows64, rows32)]
+    for row in merged[1:]:  # the smallest key is dominated by per-call overheads
+        s64, s32 = row[-2], row[-1]
+        require(
+            s32 < s64 < 2.5,
+            f"Table 10: the speedup must be slightly better than on the 32-bit system "
+            f"but stay transfer-limited below 2.5 ({row[0]} B: {s64:.2f} vs {s32:.2f})",
+        )
     return ScenarioResult(
         name="table10_hash64",
         title="Table 10: Results for hash function lookup2 (64-bit system)",
@@ -407,6 +514,17 @@ def table11_sha1(message_sizes: Sequence[int]) -> ScenarioResult:
         rows.append(
             [size, sw.elapsed_ps / 1e6, hw.elapsed_ps / 1e6, sw.elapsed_ps / hw.elapsed_ps]
         )
+    for row in rows:
+        require(
+            row[-1] > 2,
+            f"Table 11: a considerable performance gain, over 2x ({row[0]} B: {row[-1]:.2f})",
+        )
+    # Software per-byte cost falls as the per-call overhead amortises.
+    per_byte = [row[1] / row[0] for row in rows]
+    require(
+        all(a > b for a, b in zip(per_byte, per_byte[1:])),
+        "Table 11: software time per byte must fall with message size",
+    )
     return ScenarioResult(
         name="table11_sha1",
         title="Table 11: SHA-1 (64-bit system; kernel does not fit the 32-bit system)",
@@ -434,6 +552,29 @@ def table12_image64(height: int, width: int) -> ScenarioResult:
         system32, manager32, (HwBrightnessPio, HwBlendPio, HwFadePio), height, width, False
     )
     merged = [r64 + [r32[-1]] for r64, r32 in zip(rows64, rows32)]
+    # rows: [task, sw, hw, prep, speedup64, speedup32]
+    s64 = {row[0]: row[-2] for row in merged}
+    s32 = {row[0]: row[-1] for row in merged}
+    prep = {row[0]: row[3] for row in merged}
+    bright_gain = s64["brightness"] / s32["brightness"]
+    require(
+        bright_gain > 2,
+        f"Table 12: a clear increase of the brightness speedup, over 2x ({bright_gain:.2f})",
+    )
+    # ...and a significantly smaller increase for the two-source tasks.
+    for task in ("additive blending", "fade effect"):
+        gain = s64[task] / s32[task]
+        require(
+            s64[task] >= s32[task] * 0.95 and gain < bright_gain / 1.5,
+            f"Table 12: {task} must keep its speedup but gain far less than brightness "
+            f"({gain:.2f} vs {bright_gain:.2f})",
+        )
+        require(prep[task] > 0, f"Table 12: {task} must charge data preparation")
+    require(
+        s64["fade effect"] >= s32["fade effect"],
+        "Table 12: the fade speedup must not drop on the 64-bit system",
+    )
+    require(prep["brightness"] == 0.0, "Table 12: brightness needs no data preparation")
     return ScenarioResult(
         name="table12_image64",
         title=f"Table 12: Image tasks, 64-bit system with DMA ({height}x{width})",

@@ -91,16 +91,14 @@ def parse_overrides(entries: Optional[List[str]]) -> Optional[dict]:
         head, sep, value = raw.partition("=")
         name, colon, key = head.partition(":")
         if not sep or not colon or not name or not key:
-            raise SystemExit(
-                f"--set expects NAME:KEY=VALUE, got {raw!r}"
-            )
+            raise CheckError(f"--set expects NAME:KEY=VALUE, got {raw!r}")
         try:
             parsed = json.loads(value)
         except ValueError:
             parsed = value
         per_scenario = overrides.setdefault(name, {})
         if key in per_scenario and per_scenario[key] != parsed:
-            raise SystemExit(
+            raise CheckError(
                 f"--set expects one value per NAME:KEY, but {name}:{key} "
                 f"was given both {per_scenario[key]!r} and {parsed!r}"
             )

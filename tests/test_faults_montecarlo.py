@@ -8,8 +8,8 @@ Three layers:
   simulations at different strike positions and calibration seeds (the
   closed-form charging assumption, tested rather than trusted).
 * **Equivalence** — on the real rig the batched executor must reproduce
-  the per-trial reference's ``TrialResult`` stream byte-for-byte,
-  including under early stopping.
+  the per-trial reference's trial columns exactly, including under early
+  stopping, and ``require_equivalent`` names the first divergence.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import InvariantError
+from repro.errors import CheckError, InvariantError
 from repro.faults.campaign import run_trial
 from repro.faults.heatmap import (
     RAMP,
@@ -33,8 +33,8 @@ from repro.faults.montecarlo import (
     calibrate_rig,
     classify_batch,
     classify_reference,
+    require_equivalent,
     run_mc_campaign,
-    trials_from_batch,
 )
 from repro.faults.sampling import (
     DEFAULT_MC_KINDS,
@@ -160,20 +160,6 @@ def test_commit_classification_rules():
     assert batch.region.tolist() == [REGION_ALL] * 3
 
 
-def test_trials_from_batch_materializes_pr5_stream():
-    space, model = tiny_space(), tiny_model()
-    load = FaultLoad(
-        kind="upset", trials=2, seed=77,
-        rows=np.array([0, 2]), words=np.array([0, 1]), bits=np.array([0, 8]),
-    )
-    results = trials_from_batch(space, load, classify_batch(space, model, load, 0, 2))
-    assert [r.outcome for r in results] == ["critical", "benign"]
-    assert [r.trial for r in results] == [0, 1]
-    assert all(r.seed == 77 and r.kind == "upset" for r in results)
-    assert results[0].detail == "row 0 word 0 bit 0 [static]"
-    assert results[1].detail == "row 2 word 1 bit 8 [unused]"
-
-
 def test_seu_needs_a_retry_budget(rig):
     crippled = CalibratedRig(
         space=rig.space,
@@ -248,8 +234,7 @@ def test_executors_agree_on_the_real_rig(rig):
         rig=rig, kinds=DEFAULT_MC_KINDS, trials=1500, seed=2006,
         batch_size=256, executor="reference",
     )
-    assert batch.trial_results() == reference.trial_results()
-    assert batch.to_dict() == reference.to_dict()
+    require_equivalent(batch, reference)
 
 
 def test_executors_stop_early_identically(rig):
@@ -261,11 +246,25 @@ def test_executors_stop_early_identically(rig):
     reference = run_mc_campaign(executor="reference", **kwargs)
     assert batch.stopped_early == reference.stopped_early
     assert batch.trials_run == reference.trials_run
-    assert batch.trial_results() == reference.trial_results()
+    require_equivalent(batch, reference)
     # The coarse target actually triggers the stop, on whole batches.
     assert batch.stopped_early["upset"]
     assert batch.trials_run["upset"] < 6000
     assert batch.trials_run["upset"] % 512 == 0
+
+
+def test_require_equivalent_names_kind_trial_and_column(rig):
+    report = run_mc_campaign(rig=rig, kinds=("upset", "commit"), trials=64, seed=2006)
+    commit = report.batches["commit"]
+    attempts = commit.attempts.copy()
+    attempts[5] += 1
+    tampered = dataclasses.replace(
+        report,
+        batches={**report.batches, "commit": dataclasses.replace(commit, attempts=attempts)},
+    )
+    require_equivalent(report, report)
+    with pytest.raises(CheckError, match=r"^commit: .* at trial 5, column 'attempts'$"):
+        require_equivalent(report, tampered)
 
 
 def test_unknown_executor_rejected(rig):

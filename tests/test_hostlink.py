@@ -78,24 +78,9 @@ def test_upload_is_hopeless_for_bulk_data(system32):
 
 
 def test_upload_data_lands(system32):
+    # 10 bytes: the last word is zero-padded on the wire and in memory.
+    system32.ext_mem.load(memmap.STAGE_AUX, b"\xff" * 12)
     link = HostLink(system32)
-    link.upload(memmap.STAGE_AUX, b"ABCDEFGH")
-    assert bytes(system32.ext_mem.dump(memmap.STAGE_AUX, 8)) == b"ABCDEFGH"
-
-
-def test_upload_fastpath_roundtrip():
-    """Vectorized word split: same bytes, same picoseconds, same stats."""
-    from repro.core import build_system32
-    from repro.engine import fastpath
-
-    data = bytes(range(256)) + b"tail"  # length % 4 != 0 exercises padding
-    results = {}
-    for label, context in (("fast", fastpath.forced_on), ("slow", fastpath.disabled)):
-        with context():
-            system = build_system32()
-            link = HostLink(system)
-            elapsed = link.upload(memmap.STAGE_AUX, data)
-            landed = bytes(system.ext_mem.dump(memmap.STAGE_AUX, len(data)))
-            results[label] = (elapsed, landed, link.stats.frames, link.stats.bytes_wire)
-    assert results["fast"] == results["slow"]
-    assert results["fast"][1] == data
+    link.upload(memmap.STAGE_AUX, b"ABCDEFGHIJ")
+    assert bytes(system32.ext_mem.dump(memmap.STAGE_AUX, 12)) == b"ABCDEFGHIJ\0\0"
+    assert link.stats.frames == 3  # one framed write per word

@@ -1,8 +1,8 @@
 """Reconfiguration-datapath fast-path equivalence contract.
 
 The vectorized reconfiguration datapath (NumPy packet codec, bulk ICAP
-ingest, array-backed configuration memory, bulk BitLinker assembly) must
-be *indistinguishable* from the word-by-word reference path: byte-identical
+ingest, array-backed configuration memory) must be
+*indistinguishable* from the word-by-word reference path: byte-identical
 serialised bitstreams, identical configuration-memory contents and access
 counters after load/swap/clear cycles, identical simulated timing in every
 :class:`ReconfigResult`, and identical failure behaviour on corrupt

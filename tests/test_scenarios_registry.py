@@ -1,8 +1,9 @@
 """Scenario registry: registration, parameter resolution, result transport.
 
-The registry is the contract between the pytest benches, the sweep
+The registry is the contract between the scenarios, the sweep
 orchestrator and the result cache — these tests pin down the parts the
-other two rely on (stable names, deterministic seeds, JSON-safe results).
+other two rely on (stable names, deterministic seeds, JSON-safe results)
+and run every registered scenario, with its paper claims, at smoke size.
 """
 
 import json
@@ -19,6 +20,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.registry import _REGISTRY, register_scenario
+from repro.sweep import run_sweep
 
 
 @pytest.fixture
@@ -66,6 +68,14 @@ def test_shipped_registry_is_populated():
     assert "ablation_boot" in names
     assert "fig1_generic_architecture" in names
     assert len(names) >= 27
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in all_scenarios()])
+def test_scenario_holds_its_claims_at_smoke(name):
+    # Each scenario checks the paper's claims for its table, ablation or
+    # figure at the end of its body; a broken claim fails the outcome.
+    (outcome,) = run_sweep([get_scenario(name)], smoke=True).outcomes
+    assert outcome.status == "ok", outcome.error
 
 
 def test_tag_filtering():

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.errors import CheckError
 from repro.sweep.cli import main
 from repro.sweep.report import REPORT_SCHEMA
 
@@ -154,11 +155,14 @@ def test_parse_overrides_types_and_grouping():
 @pytest.mark.parametrize(
     "bad", ["mc_campaign:trials", "trials=5", ":trials=5", "name:=5"]
 )
-def test_parse_overrides_rejects_malformed_entries(bad):
+def test_parse_overrides_rejects_malformed_entries(bad, capsys):
     from repro.sweep.cli import parse_overrides
 
-    with pytest.raises(SystemExit, match="--set"):
+    with pytest.raises(CheckError, match="--set"):
         parse_overrides([bad])
+    # The entry point turns it into exit 2 and one stderr line.
+    assert main(["run", "--no-cache", "--set", bad]) == 2
+    assert capsys.readouterr().err.startswith("repro sweep: --set expects")
 
 
 def test_parse_overrides_conflicting_duplicate_aborts_naming_both():
@@ -166,7 +170,7 @@ def test_parse_overrides_conflicting_duplicate_aborts_naming_both():
 
     # Silent last-wins would make the command line lie about what ran;
     # the error must name both conflicting values.
-    with pytest.raises(SystemExit, match=r"5000.*9999|9999.*5000"):
+    with pytest.raises(CheckError, match=r"5000.*9999|9999.*5000"):
         parse_overrides(["mc_campaign:trials=5000", "mc_campaign:trials=9999"])
 
 

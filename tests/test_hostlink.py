@@ -84,3 +84,21 @@ def test_upload_data_lands(system32):
     link.upload(memmap.STAGE_AUX, b"ABCDEFGHIJ")
     assert bytes(system32.ext_mem.dump(memmap.STAGE_AUX, 12)) == b"ABCDEFGHIJ\0\0"
     assert link.stats.frames == 3  # one framed write per word
+
+
+def test_upload_fastpath_roundtrip():
+    """Upload has one path: the fast-path switch changes no byte, picosecond or stat."""
+    from repro.core import build_system32
+    from repro.engine import fastpath
+
+    data = bytes(range(256)) + b"tail"  # length % 4 != 0 exercises padding
+    results = {}
+    for label, context in (("fast", fastpath.forced_on), ("slow", fastpath.disabled)):
+        with context():
+            system = build_system32()
+            link = HostLink(system)
+            elapsed = link.upload(memmap.STAGE_AUX, data)
+            landed = bytes(system.ext_mem.dump(memmap.STAGE_AUX, len(data)))
+            results[label] = (elapsed, landed, link.stats.frames, link.stats.bytes_wire)
+    assert results["fast"] == results["slow"]
+    assert results["fast"][1] == data
